@@ -1324,6 +1324,36 @@ class ClusterBackend(ExecutionBackend):
             speculated.add(task_id)
             self.stats["speculated"] += 1
 
+    def _decode(
+        self,
+        handle: _WorkerHandle,
+        data: bytes,
+        queue: "deque[int]",
+        results: "dict[int, RunResult]",
+        id_to_index: "dict[int, int]",
+        retries: "dict[int, int]",
+    ) -> "list[tuple[str, Any]] | None":
+        """Feed ``data`` to the worker's decoder (None = worker dropped)."""
+        try:
+            return handle.decoder.feed(data)
+        except Exception as exc:
+            # Framing errors, a pickle frame from an unauthenticated
+            # peer (refused *before* pickle.loads by the decoder), AND
+            # unpickleable payloads (a worker on a mismatched checkout
+            # returning classes this process lacks): the stream is
+            # unusable, but only *this* worker is — drop/fail it and let
+            # its specs reassign rather than abort the batch.
+            if not handle.ready:
+                self._drop_unauthenticated(
+                    handle, f"protocol violation ({type(exc).__name__}: {exc})"
+                )
+            else:
+                self._fail_worker(
+                    handle, queue, retries, results, id_to_index,
+                    f"undecodable stream ({type(exc).__name__}: {exc})",
+                )
+            return None
+
     def _read_worker(
         self,
         handle: _WorkerHandle,
@@ -1359,24 +1389,8 @@ class ClusterBackend(ExecutionBackend):
                 )
             return
         handle.last_seen = time.monotonic()
-        try:
-            frames = handle.decoder.feed(data)
-        except Exception as exc:
-            # Framing errors, a pickle frame from an unauthenticated
-            # peer (refused *before* pickle.loads by the decoder), AND
-            # unpickleable payloads (a worker on a mismatched checkout
-            # returning classes this process lacks): the stream is
-            # unusable, but only *this* worker is — drop/fail it and let
-            # its specs reassign rather than abort the batch.
-            if not handle.ready:
-                self._drop_unauthenticated(
-                    handle, f"protocol violation ({type(exc).__name__}: {exc})"
-                )
-            else:
-                self._fail_worker(
-                    handle, queue, retries, results, id_to_index,
-                    f"undecodable stream ({type(exc).__name__}: {exc})",
-                )
+        frames = self._decode(handle, data, queue, results, id_to_index, retries)
+        if frames is None:
             return
         for kind, payload in frames:
             if not handle.ready:
@@ -1388,6 +1402,13 @@ class ClusterBackend(ExecutionBackend):
                 self._complete_handshake(handle, payload)
                 if not handle.ready:
                     return  # handshake failed; handle already dropped
+                # The locked decoder stopped at the auth response; decode
+                # whatever the worker sent behind it under the raised cap
+                # (the loop picks the appended frames up).
+                more = self._decode(handle, b"", queue, results, id_to_index, retries)
+                if more is None:
+                    return
+                frames.extend(more)
                 continue
             if kind == wire.MSG_HEARTBEAT:
                 pass  # last_seen already updated

@@ -14,16 +14,12 @@ question:
   machine-readable :class:`EligibilityReason` codes (empty when
   eligible);
 * :func:`register_update` is the extension point: registering a
-  vectorized update builder for an algorithm type makes that algorithm
-  eligible everywhere — dispatcher, telemetry, CLI — with no other code
-  change;
+  builder that returns one of the lockstep loop's update rules for an
+  algorithm type makes that algorithm eligible everywhere — dispatcher,
+  telemetry, CLI — with no other code change;
 * the built-in registrations live with their update implementations in
   :mod:`repro.engine.kernels.vectorized` (imported lazily here, so
   importing this module alone still sees the full registry).
-
-The legacy helpers (``resolve_update`` / ``eligible_run_kwargs`` /
-``eligible_clock_factory`` in :mod:`repro.engine.kernels.vectorized`)
-are deprecation shims over this module.
 """
 
 from __future__ import annotations
@@ -146,17 +142,24 @@ def register_update(
 
     Decorator form::
 
+        from repro.engine.kernels.vectorized import ConvexUpdate
+
         @register_update(MyGossip)
         def _build_my_gossip(algorithm):
-            return _MyVectorizedUpdate(algorithm.some_parameter)
+            return ConvexUpdate(alpha=algorithm.some_parameter)
 
-    The builder receives an algorithm *instance* and returns the kernel's
-    per-tick update object.  Registration is keyed by **exact type** (not
-    ``isinstance``) on purpose: a subclass overriding ``on_tick`` must
-    never silently take the fast path with the parent's update rule —
-    register the subclass explicitly once its vectorized rule exists.
-    The last registration for a type wins, so tests can shadow a builder
-    and restore it.
+    The builder receives an algorithm *instance* and returns one of the
+    per-tick update rules the lockstep loop implements
+    (``vectorized.LOCKSTEP_UPDATES``: ``MeanUpdate`` or ``ConvexUpdate``;
+    Algorithm A's schedule is built-in only).  The loop cannot run any
+    other object, so the verdict reports ``algorithm-unsupported`` for a
+    builder that returns one and the algorithm runs scalar.
+
+    Registration is keyed by **exact type** (not ``isinstance``) on
+    purpose: a subclass overriding ``on_tick`` must never silently take
+    the fast path with the parent's update rule — register the subclass
+    explicitly once its vectorized rule exists.  The last registration
+    for a type wins, so tests can shadow a builder and restore it.
     """
     if not isinstance(algorithm_type, type):
         raise TypeError(
@@ -201,14 +204,25 @@ def _ensure_builtin_updates() -> None:
 
 def algorithm_reason(algorithm: object) -> "EligibilityReason | None":
     """Why this algorithm instance cannot vectorize (None = it can)."""
-    if resolve_update(algorithm) is not None:
+    update = resolve_update(algorithm)
+    if update is None:
+        registered = ", ".join(t.__name__ for t in registered_update_types())
+        return EligibilityReason(
+            ALGORITHM_UNSUPPORTED,
+            f"{type(algorithm).__name__} has no registered vectorized update "
+            f"(registered: {registered}); see "
+            "repro.engine.kernels.register_update",
+        )
+    from repro.engine.kernels.vectorized import LOCKSTEP_UPDATES
+
+    if isinstance(update, LOCKSTEP_UPDATES):
         return None
-    registered = ", ".join(t.__name__ for t in registered_update_types())
+    supported = ", ".join(t.__name__ for t in LOCKSTEP_UPDATES)
     return EligibilityReason(
         ALGORITHM_UNSUPPORTED,
-        f"{type(algorithm).__name__} has no registered vectorized update "
-        f"(registered: {registered}); see "
-        "repro.engine.kernels.register_update",
+        f"the update registered for {type(algorithm).__name__} is a "
+        f"{type(update).__name__}, not a rule the lockstep loop implements "
+        f"({supported})",
     )
 
 

@@ -1,56 +1,60 @@
 """The vectorized replicate-batch kernel.
 
 Advances many replicates of **one configuration** in lockstep: the value
-vectors live in a ``(n_replicates, n_nodes)`` float64 matrix and every
-clock tick updates one ``(replicate, vertex)`` pair per row with a
-handful of numpy gather/scatter operations, amortizing interpreter
-overhead over the whole batch.  On eligible configurations this is what
-turns the ~1 us/event pure-Python loop into tens of nanoseconds per
-replicate-event at realistic batch widths (see
-``benchmarks/results/BENCH_kernel_scaling.json``).
+vectors live in a ``(n_replicates, n_nodes + 1)`` float64 matrix (the
+extra column is a per-row *pad cell*, see below) and every clock tick
+updates one ``(replicate, vertex)`` pair per row with a handful of numpy
+gather/scatter operations, amortizing interpreter overhead over the
+whole batch (see ``benchmarks/results/BENCH_kernel_scaling.json``).
+
+**Record, then scan.**  One lockstep loop serves every eligible
+algorithm and clock.  It advances in *sub-batches* of at most
+``_steps_for(width)`` ticks, each in three phases:
+
+* **staging** pulls every row's next ticks from its clock, resolves the
+  endpoints into flat indices, and decides ahead of time which steps
+  change nothing — Algorithm A's silenced ticks and every tick after a
+  row's ``max_time`` stop (known from the clock times) — and redirects
+  them to the row's pad cell, whose value stays ``0.0``; it also lists
+  the (rare) steps that fire Algorithm A's non-convex swap;
+* **recording** runs the per-tick body — gather ``x_u``/``x_v`` into
+  row ``j`` of a ``(steps, width)`` history, compute the new values into
+  the history, scatter them back — with no masks and no statistics;
+* **scanning** derives everything the scalar loop tracks per tick from
+  the history with whole-matrix numpy calls: the ``T``/``S`` deltas, the
+  running sums, the variance, the threshold crossings and the first
+  stop step per row.  A row stopped mid-sub-batch by ``target_ratio``
+  or ``diverged`` is rolled back to its stop step from the recorded
+  pre-update values, finalized, and compacted out.
 
 **Bit-identity.**  The kernel reproduces the scalar event loop's results
 to the byte, not approximately.  The load-bearing facts:
 
 * Each replicate gets its *own* clock object, built exactly as the
-  scalar path builds it (same factory, same derived clock substream), and
-  ``next_batch`` is called with the same batch-size sequence the scalar
-  loop uses — so every replicate sees the identical event stream.  A
-  replicate that stops mid-batch simply discards the surplus draws, just
-  like the scalar loop does.
-* The incremental ``T``/``S`` statistics are updated with the exact
-  floating-point expression (and association order) of the scalar loop,
-  refreshed from scratch on the same global update boundaries with the
-  same per-row ``row.sum()`` / ``row @ row`` reductions.
+  scalar path builds it, and ``next_batch`` is called with the scalar
+  loop's request sequence (see :class:`_TickStream`), so every replicate
+  sees the identical event stream.
+* The deltas are evaluated elementwise in the scalar loop's association
+  order (``((nu^2 + nv^2) - xu^2) - xv^2``) and summed with
+  ``np.add.accumulate`` along the step axis, which adds strictly in
+  sequence like the scalar ``+=``.  A redirected step's delta is exactly
+  ``+0.0``; adding it changes nothing the variance can see.
+* The exact ``T``/``S`` recompute falls on each row's own update
+  boundary: a sub-batch never runs past the nearest one, so it can only
+  land on a sub-batch's last step, where it is applied before the scan
+  reads the variance.
+* The variance of a step without an update is the persisted value of
+  the last update; recomputing it from unchanged sums gives the same
+  bits, except before a row's first update, where the scalar loop still
+  holds the ``np.var`` initial value — the scan restores that.
 * Per-tick algorithm randomness (``RandomConvexGossip``'s mixing weight)
-  is pre-drawn per batch from each replicate's algorithm generator;
-  numpy's ``Generator.uniform(size=k)`` consumes the bit stream exactly
-  as ``k`` sequential scalar draws do.
-* Eligible algorithms update on **every** tick, so all running
-  replicates share one global event counter — what makes lockstep (and
-  the shared recompute boundary) valid in the first place.
-
-**Memory discipline.**  The hot loop never allocates: per-step
-arithmetic lands in a reusable scratch arena (``out=`` everywhere), and
-the big per-batch clock buffers are kept warm across batches and groups
-— a fresh 64MB allocation costs more in page faults than the compute it
-serves.  Batch draws are staged row-per-replicate and then transposed
-with a cache-blocked kernel so that every step reads contiguous slices.
-
-**Two lockstep loops.**  Always-update algorithms on unwrapped Poisson
-clocks take the *dense* loop: one global event counter, every row
-updates every tick.  Algorithm A (masked per-tick updates driven by the
-edge class and the designated edge's epoch phase) and the lossy/failing
-clock wrappers (delivered ticks per batch vary per replicate) take the
-*generalized* loop: per-row update counts, a per-row variance cache, and
-buffered per-replicate tick streams that replay the scalar loop's clock
-request sequence exactly.  Routing between them is internal; both are
-bit-identical to the scalar oracle.
+  is pre-drawn per sub-batch from each replicate's generator; numpy's
+  ``Generator.uniform(size=k)`` consumes the bit stream exactly as
+  ``k`` sequential scalar draws do.
 
 **Eligibility.**  The public verdict lives in
 :mod:`repro.engine.kernels.eligibility`: the algorithm's type must have
-a registered update builder (exact type match — a subclass overriding
-``on_tick`` must not silently take the fast path; the built-in
+a registered update builder (exact type match — the built-in
 registrations are below), the clock must be the standard Poisson model
 or one of the lossy/failing wrappers, and the run kwargs must carry no
 recorder and no unknown keys.  Everything else falls back to the scalar
@@ -60,8 +64,8 @@ kernel, with reason codes surfaced through telemetry.
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -70,17 +74,10 @@ from repro.algorithms.convex import ConvexGossip, RandomConvexGossip
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
 from repro.algorithms.vanilla import VanillaGossip
 from repro.clocks.poisson import PoissonEdgeClocks
-from repro.clocks.unreliable import (
-    FailingPoissonClockFactory,
-    LossyPoissonClockFactory,
-)
 from repro.engine.kernels.eligibility import (
-    SUPPORTED_RUN_KWARGS as _SUPPORTED_RUN_KWARGS,
-    clock_reason as _clock_reason,
     eligibility as _spec_eligibility,
     register_update,
     resolve_update as _resolve_update,
-    run_kwargs_reasons as _run_kwargs_reasons,
 )
 from repro.engine.kernels.base import SimulationKernel, replicate_substreams
 from repro.engine.results import Crossing, RunResult
@@ -95,17 +92,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.backends import ReplicateSpec
 
 #: Largest replicate batch advanced as one lockstep group; bigger groups
-#: are split (grouping never affects results, only memory: the per-batch
-#: clock buffers are ``group x DEFAULT_BATCH_SIZE`` float64).
+#: are split (grouping never affects results, only memory).
 MAX_GROUP_SIZE = 2048
 
-#: Clock factories whose processes deliver *fewer* ticks than requested
-#: (dropped or dead edges) — they vectorize through the generalized
-#: loop's buffered tick streams rather than the dense loop.
-_WRAPPED_CLOCK_FACTORIES = (LossyPoissonClockFactory, FailingPoissonClockFactory)
+#: Element budget of one ``(steps, width)`` history matrix: a sub-batch
+#: runs ``_HISTORY_ELEMENTS // width`` steps (within the bounds below),
+#: so each history buffer stays at 1MB up to width 256 and never
+#: exceeds ``_MIN_STEPS x MAX_GROUP_SIZE`` cells (8MB).
+_HISTORY_ELEMENTS = 1 << 17
+#: Fewest steps per sub-batch: keeps the per-row staging cost of wide
+#: groups amortized over enough ticks.
+_MIN_STEPS = 512
+
+#: Cells per scan chunk: the scan streams ~20 elementwise passes over
+#: its scratch, which stays cache-resident at this size.
+_SCAN_ELEMENTS = 1 << 15
 
 _TILE_ROWS = 64
 _TILE_COLS = 2048
+
+
+def _steps_for(width: int) -> int:
+    """Sub-batch length (in ticks) for a group of ``width`` rows."""
+    return min(DEFAULT_BATCH_SIZE, max(_MIN_STEPS, _HISTORY_ELEMENTS // width))
 
 
 def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
@@ -123,122 +132,40 @@ def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
             d[j0 : j0 + _TILE_COLS] = s[:, j0 : j0 + _TILE_COLS].T
 
 
-class _VanillaUpdate:
-    """``x_u, x_v <- (x_u + x_v) / 2``, vectorized across replicates.
+class MeanUpdate:
+    """``x_u, x_v <- (x_u + x_v) / 2`` (vanilla gossip)."""
 
-    Returns the *same* buffer twice; the caller exploits the identity to
-    skip one multiply in the square-sum delta.
+
+class ConvexUpdate:
+    """``a x_u + b x_v, a x_v + b x_u`` with ``b = 1 - a``.
+
+    ``alpha`` fixes ``a``; otherwise ``a ~ U[low, high]`` is drawn per
+    tick from each replicate's algorithm generator.
     """
 
-    needs_rng = False
-
-    def apply(
+    def __init__(
         self,
-        x_u: np.ndarray,
-        x_v: np.ndarray,
-        aux: "np.ndarray | None",
-        out_u: np.ndarray,
-        out_v: np.ndarray,
-        tmp: np.ndarray,
-        tmp2: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        np.add(x_u, x_v, out=out_u)
-        np.multiply(out_u, 0.5, out=out_u)
-        return out_u, out_u
-
-
-class _ConvexUpdate:
-    """Fixed-``alpha`` symmetric convex update, vectorized."""
-
-    needs_rng = False
-
-    def __init__(self, alpha: float) -> None:
+        alpha: "float | None" = None,
+        low: float = 0.0,
+        high: float = 1.0,
+    ) -> None:
         self.alpha = alpha
-
-    def apply(
-        self,
-        x_u: np.ndarray,
-        x_v: np.ndarray,
-        aux: "np.ndarray | None",
-        out_u: np.ndarray,
-        out_v: np.ndarray,
-        tmp: np.ndarray,
-        tmp2: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        a = self.alpha
-        b = 1.0 - a
-        np.multiply(x_u, a, out=out_u)
-        np.multiply(x_v, b, out=tmp)
-        np.add(out_u, tmp, out=out_u)  # a*x_u + b*x_v
-        np.multiply(x_v, a, out=out_v)
-        np.multiply(x_u, b, out=tmp)
-        np.add(out_v, tmp, out=out_v)  # a*x_v + b*x_u
-        return out_u, out_v
-
-
-class _RandomConvexUpdate:
-    """Per-tick ``alpha ~ U[low, high]`` convex update, vectorized.
-
-    ``aux`` carries each replicate's pre-drawn mixing weight for the
-    current tick; the batched draw consumes each algorithm generator's
-    bit stream exactly as the scalar loop's per-tick scalar draws do.
-    """
-
-    needs_rng = True
-
-    def __init__(self, low: float, high: float) -> None:
         self.low = low
         self.high = high
 
-    def fill(
-        self, rngs: "Sequence[np.random.Generator]", k: int, out: np.ndarray
-    ) -> None:
-        low = self.low
-        high = self.high
-        for i, rng in enumerate(rngs):
-            out[i, :k] = rng.uniform(low, high, size=k)
 
-    def apply(
-        self,
-        x_u: np.ndarray,
-        x_v: np.ndarray,
-        aux: np.ndarray,
-        out_u: np.ndarray,
-        out_v: np.ndarray,
-        tmp: np.ndarray,
-        tmp2: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        np.subtract(1.0, aux, out=tmp2)  # b = 1 - a
-        np.multiply(x_u, aux, out=out_u)
-        np.multiply(x_v, tmp2, out=tmp)
-        np.add(out_u, tmp, out=out_u)  # a*x_u + b*x_v
-        np.multiply(x_v, aux, out=out_v)
-        np.multiply(x_u, tmp2, out=tmp)
-        np.add(out_v, tmp, out=out_v)  # a*x_v + b*x_u
-        return out_u, out_v
-
-
-class _NonConvexUpdate:
+class _NonConvexUpdate(MeanUpdate):
     """Algorithm A's per-tick state machine, staged for lockstep replay.
 
-    Unlike the convex updates this one is **masked**: a tick's effect
-    depends on the edge's class (internal → vanilla averaging,
-    non-designated cut → nothing, designated → nothing except on every
-    ``L``-th designated tick, when the non-convex swap fires).  The
-    generalized loop stages per-tick op codes from :attr:`edge_class`
-    plus a per-row running count of designated ticks, applies the
-    vanilla rows vectorized, and computes the rare swap rows with the
-    scalar oracle's exact Python-float arithmetic (including the
-    ``oracle_means`` side-mean reads and the fixed return orientation).
+    A tick's effect depends on the edge's class (internal → vanilla
+    averaging, non-designated cut → nothing, designated → nothing except
+    on every ``L``-th designated tick, when the non-convex swap fires).
+    Staging resolves the classes and a per-row running count of
+    designated ticks into update masks; the record loop averages every
+    row and computes the rare swap rows with the scalar oracle's exact
+    Python-float arithmetic (including the ``oracle_means`` side-mean
+    reads and the fixed return orientation).
     """
-
-    needs_rng = False
-    masked = True
-
-    #: Op codes in :attr:`edge_class` / the staged per-tick op matrix.
-    OP_NONE = 0
-    OP_VANILLA = 1
-    OP_SWAP = 2
 
     def __init__(self, algorithm: NonConvexSparseCutGossip) -> None:
         params = algorithm.lockstep_parameters()
@@ -253,64 +180,46 @@ class _NonConvexUpdate:
         self.vertices_2: np.ndarray = params["vertices_2"]
         self.graph = params["graph"]
 
+    def swap(self, row: np.ndarray) -> "tuple[float, float]":
+        """The swap's ``(new_u, new_v)`` on one replicate's values."""
+        a = self.endpoint_v1
+        b = self.endpoint_v2
+        if self.oracle_means:
+            delta = float(row[self.vertices_2].mean() - row[self.vertices_1].mean())
+        else:
+            delta = float(row[b] - row[a])
+        transfer = self.gain * delta
+        new_a = float(row[a]) + transfer
+        new_b = float(row[b]) - transfer
+        if self.designated_u_is_v1:
+            return new_a, new_b
+        return new_b, new_a
+
+
+#: The per-tick update rules the lockstep loop implements.  A registered
+#: builder must return one of these; the eligibility verdict demotes an
+#: algorithm whose builder returns anything else.
+LOCKSTEP_UPDATES = (MeanUpdate, ConvexUpdate)
+
 
 @register_update(VanillaGossip)
-def _build_vanilla(algorithm: VanillaGossip) -> _VanillaUpdate:
-    return _VanillaUpdate()
+def _build_vanilla(algorithm: VanillaGossip) -> MeanUpdate:
+    return MeanUpdate()
 
 
 @register_update(ConvexGossip)
-def _build_convex(algorithm: ConvexGossip) -> _ConvexUpdate:
-    return _ConvexUpdate(algorithm.alpha)
+def _build_convex(algorithm: ConvexGossip) -> ConvexUpdate:
+    return ConvexUpdate(alpha=algorithm.alpha)
 
 
 @register_update(RandomConvexGossip)
-def _build_random_convex(algorithm: RandomConvexGossip) -> _RandomConvexUpdate:
-    return _RandomConvexUpdate(algorithm.low, algorithm.high)
+def _build_random_convex(algorithm: RandomConvexGossip) -> ConvexUpdate:
+    return ConvexUpdate(low=algorithm.low, high=algorithm.high)
 
 
 @register_update(NonConvexSparseCutGossip)
 def _build_nonconvex(algorithm: NonConvexSparseCutGossip) -> _NonConvexUpdate:
     return _NonConvexUpdate(algorithm)
-
-
-# ----------------------------------------------------------------------
-# deprecated predicate helpers (PR 9): the public verdict lives in
-# repro.engine.kernels.eligibility now
-# ----------------------------------------------------------------------
-
-
-def resolve_update(algorithm: object) -> "object | None":
-    """Deprecated: use :func:`repro.engine.kernels.eligibility`."""
-    warnings.warn(
-        "repro.engine.kernels.vectorized.resolve_update is deprecated; use "
-        "repro.engine.kernels.eligibility (register_update / eligibility)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _resolve_update(algorithm)
-
-
-def eligible_run_kwargs(run_kwargs: "dict | Any") -> bool:
-    """Deprecated: use :func:`repro.engine.kernels.eligibility`."""
-    warnings.warn(
-        "eligible_run_kwargs is deprecated; use "
-        "repro.engine.kernels.eligibility(...) for a reasoned verdict",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return not _run_kwargs_reasons(run_kwargs)
-
-
-def eligible_clock_factory(clock_factory: "object | None") -> bool:
-    """Deprecated: use :func:`repro.engine.kernels.eligibility`."""
-    warnings.warn(
-        "eligible_clock_factory is deprecated; use "
-        "repro.engine.kernels.eligibility(...) for a reasoned verdict",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _clock_reason(clock_factory) is None
 
 
 class _Member:
@@ -331,52 +240,29 @@ class _Member:
         self.position = position
 
 
-class _Scratch:
-    """Reusable lockstep buffers, kept warm across batches and groups.
+class _Arena:
+    """Flat scratch buffers, kept warm across sub-batches and groups.
 
-    The big per-batch clock buffers are ~64MB at full width; allocating
-    them fresh costs more in page faults than the arithmetic they feed.
-    One growing arena per kernel instance amortizes that to zero after
-    the first batch.  Callers slice leading views (``[:k, :A]``) so a
-    shrunken group keeps using the same warm pages.
+    ``view(name, rows, cols)`` is a C-contiguous ``(rows, cols)`` view
+    of the leading elements, so a group that narrows after compaction
+    keeps reading contiguous step rows from the same pages.
     """
 
     def __init__(self) -> None:
-        self.rows = 0
-        self.cols = 0
-        self.has_aux = False
-        self.has_ops = False
+        self._buffers: "dict[str, np.ndarray]" = {}
 
-    def ensure(
-        self, rows: int, cols: int, needs_aux: bool, needs_ops: bool = False
-    ) -> None:
-        if rows > self.rows or cols > self.cols:
-            rows = max(rows, self.rows)
-            cols = max(cols, self.cols)
-            self.rows = rows
-            self.cols = cols
-            self.draw_t = np.empty((rows, cols))
-            self.draw_fu = np.empty((rows, cols), dtype=np.int64)
-            self.draw_fv = np.empty((rows, cols), dtype=np.int64)
-            self.times_b = np.empty((cols, rows))
-            self.fu_b = np.empty((cols, rows), dtype=np.int64)
-            self.fv_b = np.empty((cols, rows), dtype=np.int64)
-            self.f64_bufs = [np.empty(rows) for _ in range(10)]
-            self.bool_bufs = [np.empty(rows, dtype=bool) for _ in range(5)]
-            self.has_aux = False
-            self.has_ops = False
-        if needs_aux and not self.has_aux:
-            self.draw_aux = np.empty((self.rows, self.cols))
-            self.aux_b = np.empty((self.cols, self.rows))
-            self.has_aux = True
-        if needs_ops and not self.has_ops:
-            self.draw_op = np.empty((self.rows, self.cols), dtype=np.int8)
-            self.op_b = np.empty((self.cols, self.rows), dtype=np.int8)
-            self.has_ops = True
+    def view(
+        self, name: str, rows: int, cols: int, dtype: Any = np.float64
+    ) -> np.ndarray:
+        size = rows * cols
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(rows, cols)
 
 
 class _TickStream:
-    """A buffered per-replicate tick stream for the generalized loop.
+    """A buffered per-replicate tick stream.
 
     Wrapped clocks deliver *fewer* ticks than requested, and the RNG
     draws a clock consumes depend on the request-size sequence — so bit
@@ -430,20 +316,25 @@ class _TickStream:
             self.buffered += len(times)
         return self.buffered if self.buffered < k else k
 
-    def take_into(self, k: int, out_t: np.ndarray, out_e: np.ndarray) -> None:
+    def take(self, k: int) -> "tuple[np.ndarray, np.ndarray]":
         """Pop exactly ``k`` buffered ticks (prefetch must cover them)."""
-        filled = 0
-        while filled < k:
+        times_parts = []
+        edge_parts = []
+        while k:
             times, edge_ids = self.chunks[0]
-            take = min(len(times) - self.pos, k - filled)
-            out_t[filled : filled + take] = times[self.pos : self.pos + take]
-            out_e[filled : filled + take] = edge_ids[self.pos : self.pos + take]
-            self.pos += take
-            filled += take
+            pos = self.pos
+            take = min(len(times) - pos, k)
+            times_parts.append(times[pos : pos + take])
+            edge_parts.append(edge_ids[pos : pos + take])
+            self.pos = pos + take
             self.buffered -= take
+            k -= take
             if self.pos == len(times):
                 self.chunks.pop(0)
                 self.pos = 0
+        if len(times_parts) == 1:
+            return times_parts[0], edge_parts[0]
+        return np.concatenate(times_parts), np.concatenate(edge_parts)
 
 
 class VectorizedBatchKernel(SimulationKernel):
@@ -452,7 +343,7 @@ class VectorizedBatchKernel(SimulationKernel):
     name = "vectorized"
 
     def __init__(self) -> None:
-        self._scratch = _Scratch()
+        self._arena = _Arena()
 
     def supports(self, spec: "ReplicateSpec") -> bool:
         return bool(_spec_eligibility(spec))
@@ -470,816 +361,634 @@ class VectorizedBatchKernel(SimulationKernel):
             results.extend(self._run_group(specs[start : start + MAX_GROUP_SIZE]))
         return results
 
-    # -- group execution -------------------------------------------------
-
     def _run_group(self, specs: "Sequence[ReplicateSpec]") -> "list[RunResult]":
         update = _resolve_update(specs[0].algorithm_factory())
-        if update is None:
+        if not isinstance(update, LOCKSTEP_UPDATES):
             raise SimulationError(
-                "VectorizedBatchKernel received an ineligible spec; "
-                "dispatch through repro.engine.kernels.execute_specs"
+                "VectorizedBatchKernel has no lockstep update for this "
+                "spec's algorithm; dispatch through "
+                "repro.engine.kernels.execute_specs"
             )
-        if getattr(update, "masked", False) or isinstance(
-            specs[0].clock_factory, _WRAPPED_CLOCK_FACTORIES
-        ):
-            return self._run_group_general(specs, update)
-        return self._run_group_dense(specs, update)
-
-    def _run_group_dense(
-        self, specs: "Sequence[ReplicateSpec]", update: Any
-    ) -> "list[RunResult]":
         graph = specs[0].graph
-        run_kwargs = dict(specs[0].run_kwargs)
         (max_time, max_events, target_ratio, thresholds, divergence_ratio) = (
-            _parse_run_kwargs(run_kwargs)
+            _parse_run_kwargs(dict(specs[0].run_kwargs))
         )
         if graph.n_edges == 0:
             raise SimulationError("cannot simulate on a graph with no edges")
-        event_cap = max_events if max_events is not None else DEFAULT_MAX_EVENTS
-        n = graph.n_vertices
-        inv_n = 1.0 / n
-
-        results: "list[RunResult | None]" = [None] * len(specs)
-        members = self._setup_members(specs, graph, thresholds, results)
-        if not members:
-            return results  # type: ignore[return-value]
-
-        # --- dense lockstep state ---
-        # Row i always belongs to ``live[i]``; a replicate that stops is
-        # finalized on the spot and *compacted out* of every array, so
-        # the hot loop only ever touches contiguous full-width vectors
-        # (no ``[rows]`` gather/scatter indirection on any step).
-        live = list(members)
-        n_live = len(live)
-        X = np.stack([member.values for member in live])  # (A, n) C-order
-        flat = X.reshape(-1)  # shared view; rebuilt after compaction
-        total = np.array([member.sum_0 for member in live])
-        square_sum = np.array([member.square_sum_0 for member in live])
-        variance_0 = np.array([member.variance_0 for member in live])
-        # Deduped thresholds in the scalar loop's tracking order
-        # (descending), as absolute variances per replicate.  Stored
-        # (threshold, replicate) so each threshold's slice is contiguous.
-        tracked_thresholds = sorted(live[0].crossings, reverse=True)
-        n_thresholds = len(tracked_thresholds)
-        thr_abs = np.outer(np.asarray(tracked_thresholds), variance_0)
-        first_below = np.full((n_thresholds, n_live), np.nan)
-        below_unset = np.ones((n_thresholds, n_live), dtype=bool)
-        below_active = [True] * n_thresholds
-        last_above = np.zeros((n_thresholds, n_live))
-        target_abs = None if target_ratio is None else target_ratio * variance_0
-        divergence_abs = (
-            None if divergence_ratio is None else divergence_ratio * variance_0
-        )
-        check_stop = (
-            target_abs is not None
-            or divergence_abs is not None
-            or max_time is not None
-        )
-        clocks = [member.clock for member in live]
-        rngs = [member.rng for member in live]
-
-        end_u = np.ascontiguousarray(graph.edges[:, 0]).astype(np.int64)
-        end_v = np.ascontiguousarray(graph.edges[:, 1]).astype(np.int64)
-
-        def finalize(i: int, duration: float, n_events: int, label: str) -> None:
-            """Emit row ``i``'s RunResult (reads the *current* arrays)."""
-            member = live[i]
-            final = X[i].copy()
-            tracked = sorted(member.crossings.values(), key=lambda c: -c.threshold)
-            for ki, record in enumerate(tracked):
-                below_at = first_below[ki, i]
-                record.first_below = (None if np.isnan(below_at) else float(below_at))
-                record.last_above = float(last_above[ki, i])
-            results[member.position] = RunResult(
-                values=final,
-                duration=float(duration),
-                n_events=int(n_events),
-                n_updates=int(n_events),
-                variance_initial=member.variance_0,
-                variance_final=float(np.var(final)),
-                sum_initial=member.sum_0,
-                sum_final=float(final.sum()),
-                crossings=member.crossings,
-                stopped_by=label,
-            )
-
-        scr = self._scratch
-        scr.ensure(n_live, min(DEFAULT_BATCH_SIZE, event_cap), update.needs_rng)
-
-        # All running replicates share one global event counter (eligible
-        # algorithms update on every tick), so the periodic exact
-        # recompute hits the same per-replicate update counts the scalar
-        # loop would.
-        events_done = 0
-        next_recompute = DEFAULT_RECOMPUTE_EVERY
-        last_t = np.zeros(n_live)
-        while live and events_done < event_cap:
-            A = len(live)
-            k = min(DEFAULT_BATCH_SIZE, event_cap - events_done)
-            draw_t = scr.draw_t
-            draw_fu = scr.draw_fu
-            draw_fv = scr.draw_fv
-            for i, clock in enumerate(clocks):
-                times, edge_ids = clock.next_batch(k)
-                draw_t[i, :k] = times
-                # Resolve every tick's endpoints into flat positions in
-                # ``X.reshape(-1)`` up front (row offset baked in), so
-                # the hot loop does no endpoint lookups at all.
-                off = i * n
-                np.add(end_u.take(edge_ids), off, out=draw_fu[i, :k])
-                np.add(end_v.take(edge_ids), off, out=draw_fv[i, :k])
-            times_v = scr.times_b[:k, :A]
-            fu_v = scr.fu_b[:k, :A]
-            fv_v = scr.fv_b[:k, :A]
-            _transpose_into(times_v, draw_t[:A, :k])
-            _transpose_into(fu_v, draw_fu[:A, :k])
-            _transpose_into(fv_v, draw_fv[:A, :k])
-            if update.needs_rng:
-                update.fill(rngs, k, scr.draw_aux)
-                aux_v = scr.aux_b[:k, :A]
-                _transpose_into(aux_v, scr.draw_aux[:A, :k])
-            else:
-                aux_v = None
-            xu, xv, nu, nv, tmp, tmp2, s1, s2, mean, var = (b[:A] for b in scr.f64_bufs)
-            b1, b2, b3, b4 = (b[:A] for b in scr.bool_bufs[:4])
-            j = 0
-            while j < k:
-                t = times_v[j]
-                fu = fu_v[j]
-                fv = fv_v[j]
-                flat.take(fu, out=xu)
-                flat.take(fv, out=xv)
-                new_u, new_v = update.apply(
-                    xu,
-                    xv,
-                    None if aux_v is None else aux_v[j],
-                    nu,
-                    nv,
-                    tmp,
-                    tmp2,
-                )
-                # Exact association order of the scalar loop's deltas:
-                # ((nu^2 + nv^2) - xu^2) - xv^2 and ((nu+nv) - xu) - xv.
-                if new_u is new_v:
-                    np.multiply(new_u, new_u, out=s1)
-                    np.add(s1, s1, out=s1)
-                else:
-                    np.multiply(new_u, new_u, out=s1)
-                    np.multiply(new_v, new_v, out=s2)
-                    np.add(s1, s2, out=s1)
-                np.multiply(xu, xu, out=s2)
-                np.subtract(s1, s2, out=s1)
-                np.multiply(xv, xv, out=s2)
-                np.subtract(s1, s2, out=s1)
-                square_sum += s1
-                np.add(new_u, new_v, out=s2)
-                np.subtract(s2, xu, out=s2)
-                np.subtract(s2, xv, out=s2)
-                total += s2
-                flat[fu] = new_u
-                flat[fv] = new_v
-                n_updates = events_done + j + 1
-                if n_updates >= next_recompute:
-                    # Same per-row reductions the scalar refresh uses
-                    # (row.sum() / row @ row on a contiguous vector), on
-                    # the same global update boundary.
-                    for i in range(A):
-                        row = X[i]
-                        total[i] = row.sum()
-                        square_sum[i] = row @ row
-                    next_recompute = n_updates + DEFAULT_RECOMPUTE_EVERY
-                np.multiply(total, inv_n, out=mean)
-                np.multiply(square_sum, inv_n, out=var)
-                np.multiply(mean, mean, out=mean)
-                np.subtract(var, mean, out=var)
-                np.maximum(var, 0.0, out=var)  # undershoot clamp (NaN passes)
-                for ki in range(n_thresholds):
-                    np.greater(var, thr_abs[ki], out=b1)
-                    np.copyto(last_above[ki], t, where=b1)
-                    if below_active[ki]:
-                        # The scalar loop's elif: record the first
-                        # below-tick only while unset (NaN variance
-                        # counts as below); once every row has crossed,
-                        # this branch retires for the threshold.
-                        unset = below_unset[ki]
-                        np.logical_not(b1, out=b2)
-                        np.logical_and(b2, unset, out=b2)
-                        np.copyto(first_below[ki], t, where=b2)
-                        np.logical_and(unset, b1, out=unset)
-                        # Retirement is an optimization, not semantics:
-                        # polling every 256 updates just delays dropping
-                        # to the cheap above-only path.
-                        if not (n_updates & 255):
-                            below_active[ki] = bool(unset.any())
-                if check_stop:
-                    # Fused pre-check: one union mask, one .any() per
-                    # step.  ``~(v <= d)`` is the scalar divergence test
-                    # ``v > d or v != v`` in a single comparison (NaN
-                    # fails ``<=``).  Priority labels are resolved in
-                    # the rare branch, in the scalar order: target
-                    # first, then divergence, then the time budget.
-                    stop = None
-                    if target_abs is not None:
-                        np.less_equal(var, target_abs, out=b3)
-                        stop = b3
-                    if divergence_abs is not None:
-                        buf = b3 if stop is None else b4
-                        np.less_equal(var, divergence_abs, out=buf)
-                        np.logical_not(buf, out=buf)
-                        stop = (
-                            buf
-                            if stop is None
-                            else np.logical_or(stop, buf, out=stop)
-                        )
-                    if max_time is not None:
-                        buf = b3 if stop is None else b4
-                        np.greater_equal(t, max_time, out=buf)
-                        stop = (
-                            buf
-                            if stop is None
-                            else np.logical_or(stop, buf, out=stop)
-                        )
-                    if stop.any():
-                        hit = (var <= target_abs if target_abs is not None else None)
-                        diverged = (
-                            ~(var <= divergence_abs)
-                            if divergence_abs is not None
-                            else None
-                        )
-                        for i in np.flatnonzero(stop):
-                            if hit is not None and hit[i]:
-                                label = "target_ratio"
-                            elif diverged is not None and diverged[i]:
-                                label = "diverged"
-                            else:
-                                label = "max_time"
-                            finalize(i, t[i], n_updates, label)
-                        keep = ~stop
-                        kept = np.flatnonzero(keep)
-                        live = [live[i] for i in kept]
-                        if not live:
-                            break
-                        clocks = [clocks[i] for i in kept]
-                        rngs = [rngs[i] for i in kept]
-                        A = kept.size
-                        X = X[keep]
-                        flat = X.reshape(-1)
-                        total = total[keep]
-                        square_sum = square_sum[keep]
-                        thr_abs = np.ascontiguousarray(thr_abs[:, keep])
-                        first_below = np.ascontiguousarray(first_below[:, keep])
-                        below_unset = np.ascontiguousarray(below_unset[:, keep])
-                        last_above = np.ascontiguousarray(last_above[:, keep])
-                        below_active = [
-                            bool(below_unset[ki].any())
-                            for ki in range(n_thresholds)
-                        ]
-                        if target_abs is not None:
-                            target_abs = target_abs[keep]
-                        if divergence_abs is not None:
-                            divergence_abs = divergence_abs[keep]
-                        # Repack the rest of the batch into the leading
-                        # columns (the fancy-indexed copies materialize
-                        # before landing back in the shared buffers) and
-                        # re-bake the flat indices' row offsets for the
-                        # new, denser row numbering.
-                        shift = (np.arange(A, dtype=np.int64) - kept) * n
-                        packed_t = times_v[:, kept]
-                        packed_fu = fu_v[:, kept] + shift
-                        packed_fv = fv_v[:, kept] + shift
-                        times_v = scr.times_b[:k, :A]
-                        fu_v = scr.fu_b[:k, :A]
-                        fv_v = scr.fv_b[:k, :A]
-                        times_v[:] = packed_t
-                        fu_v[:] = packed_fu
-                        fv_v[:] = packed_fv
-                        if aux_v is not None:
-                            packed_a = aux_v[:, kept]
-                            aux_v = scr.aux_b[:k, :A]
-                            aux_v[:] = packed_a
-                        (xu, xv, nu, nv, tmp, tmp2, s1, s2, mean, var) = (
-                            b[:A] for b in scr.f64_bufs
-                        )
-                        b1, b2, b3, b4 = (b[:A] for b in scr.bool_bufs[:4])
-                j += 1
-            events_done += k
-            if live:
-                # Copy, not view: the shared batch buffer is overwritten
-                # by the next batch, and survivors report this time.
-                last_t = times_v[k - 1].copy()
-
-        # Event budget exhausted: finalize the survivors at their last
-        # event's time, exactly as the scalar loop reports them.
-        for i in range(len(live)):
-            finalize(i, last_t[i], events_done, "max_events")
-        return results  # type: ignore[return-value]
-
-    def _run_group_general(
-        self, specs: "Sequence[ReplicateSpec]", update: Any
-    ) -> "list[RunResult]":
-        """The generalized lockstep loop: masked updates, wrapped clocks.
-
-        Differences from the dense loop, each forced by a scalar-loop
-        semantic the dense loop's shortcuts assume away:
-
-        * **Per-row update counts.**  Algorithm A updates on *some*
-          ticks, so ``n_updates`` (and the exact-recompute boundary it
-          drives) is per replicate, not the shared event counter.
-        * **Per-row variance cache.**  The scalar loop only recomputes
-          the variance on an update; no-op ticks compare thresholds and
-          stop rules against the *stale* value — including the initial
-          ``np.var`` result before the first update, which the
-          incremental formula does not reproduce to the last ulp.
-        * **Masked statistics.**  No-op rows must leave ``T``/``S``
-          untouched (adding an "exactly 0.0" delta is not a no-op in
-          floating point) and write their own values back unchanged, so
-          every masked accumulation goes through ufunc ``where=``.
-        * **Buffered tick streams.**  Wrapped clocks deliver fewer ticks
-          than requested, so replicates drift apart in buffered ticks;
-          ``_TickStream`` replays the scalar request sequence per row and
-          the loop advances by the widest sub-batch every live row can
-          cover, finalizing rows whose clock is exhausted.
-
-        The non-convex swap itself runs as scalar Python-float
-        arithmetic on its (rare) rows — one swap per epoch per replicate
-        — reproducing the oracle's expression order exactly, including
-        the ``oracle_means`` side-mean reads and the fixed ``(a, b)``
-        write orientation.
-        """
-        graph = specs[0].graph
-        run_kwargs = dict(specs[0].run_kwargs)
-        (max_time, max_events, target_ratio, thresholds, divergence_ratio) = (
-            _parse_run_kwargs(run_kwargs)
-        )
-        if graph.n_edges == 0:
-            raise SimulationError("cannot simulate on a graph with no edges")
-        event_cap = max_events if max_events is not None else DEFAULT_MAX_EVENTS
-        n = graph.n_vertices
-        inv_n = 1.0 / n
-
-        masked = bool(getattr(update, "masked", False))
-        if masked:
+        if isinstance(update, _NonConvexUpdate):
             # The scalar path validates this in Algorithm A's setup();
             # surface the same mistake with the same error here.
-            agraph = update.graph
-            if agraph is not graph and agraph != graph:
+            if update.graph is not graph and update.graph != graph:
                 raise AlgorithmError(
                     "Algorithm A was configured for a different graph than "
                     "the one it is being run on"
                 )
-            edge_class = update.edge_class
-            epoch_length = update.epoch_length
-            gain = update.gain
-            oracle_means = update.oracle_means
-            a_idx = update.endpoint_v1
-            b_idx = update.endpoint_v2
-            u_is_a = update.designated_u_is_v1
-            vertices_1 = update.vertices_1
-            vertices_2 = update.vertices_2
-
         results: "list[RunResult | None]" = [None] * len(specs)
-        members = self._setup_members(specs, graph, thresholds, results)
-        if not members:
-            return results  # type: ignore[return-value]
+        members = _setup_members(specs, graph, thresholds, results)
+        if members:
+            _Lockstep(
+                members,
+                graph,
+                update,
+                self._arena,
+                results,
+                max_time=max_time,
+                event_cap=DEFAULT_MAX_EVENTS if max_events is None else max_events,
+                target_ratio=target_ratio,
+                divergence_ratio=divergence_ratio,
+            ).run()
+        return results  # type: ignore[return-value]
 
-        live = list(members)
-        n_live = len(live)
-        X = np.stack([member.values for member in live])  # (A, n) C-order
-        flat = X.reshape(-1)  # shared view; rebuilt after compaction
-        total = np.array([member.sum_0 for member in live])
-        square_sum = np.array([member.square_sum_0 for member in live])
-        variance_0 = np.array([member.variance_0 for member in live])
+
+class _Lockstep:
+    """One group's record-then-scan lockstep run.
+
+    Row ``i`` of every per-row array belongs to ``live[i]``; rows that
+    stop are finalized at the end of their sub-batch and compacted out.
+    """
+
+    def __init__(
+        self,
+        members: "list[_Member]",
+        graph: Any,
+        update: Any,
+        arena: _Arena,
+        results: "list[RunResult | None]",
+        *,
+        max_time: "float | None",
+        event_cap: int,
+        target_ratio: "float | None",
+        divergence_ratio: "float | None",
+    ) -> None:
+        self.live = list(members)
+        self.update = update
+        self.arena = arena
+        self.results = results
+        self.max_time = max_time
+        self.event_cap = event_cap
+        self.n = n = graph.n_vertices
+        self.inv_n = 1.0 / n
+        self.masked = isinstance(update, _NonConvexUpdate)
+        self.mean = isinstance(update, MeanUpdate)
+        self.end_u = np.ascontiguousarray(graph.edges[:, 0]).astype(np.int64)
+        self.end_v = np.ascontiguousarray(graph.edges[:, 1]).astype(np.int64)
+        A = len(members)
+        self.steps = _steps_for(A)
+        # Column n is the row's pad cell: redirected steps average it
+        # with itself, so it stays 0.0 and their deltas are exactly 0.0.
+        self.X = np.zeros((A, n + 1))
+        for i, member in enumerate(members):
+            self.X[i, :n] = member.values
+        self.total = np.array([m.sum_0 for m in members])
+        self.square_sum = np.array([m.square_sum_0 for m in members])
+        variance_0 = np.array([m.variance_0 for m in members])
         # The scalar loop's persisted ``variance``: refreshed only on
-        # update ticks, read (stale) by every tick's threshold and stop
-        # checks.  Starts at the exact np.var result.
-        var_arr = variance_0.copy()
-        tracked_thresholds = sorted(live[0].crossings, reverse=True)
-        n_thresholds = len(tracked_thresholds)
-        thr_abs = np.outer(np.asarray(tracked_thresholds), variance_0)
-        first_below = np.full((n_thresholds, n_live), np.nan)
-        below_unset = np.ones((n_thresholds, n_live), dtype=bool)
-        below_active = [True] * n_thresholds
-        last_above = np.zeros((n_thresholds, n_live))
-        target_abs = None if target_ratio is None else target_ratio * variance_0
-        divergence_abs = (
+        # update ticks, starting at the exact np.var result.
+        self.variance = variance_0.copy()
+        # Deduped thresholds in the scalar loop's tracking order
+        # (descending), as absolute variances per replicate.
+        tracked = sorted(members[0].crossings, reverse=True)
+        self.thr_abs = np.outer(np.asarray(tracked), variance_0)
+        self.first_below = np.full(self.thr_abs.shape, np.nan)
+        self.below_unset = np.ones(self.thr_abs.shape, dtype=bool)
+        self.last_above = np.zeros(self.thr_abs.shape)
+        self.target_abs = None if target_ratio is None else target_ratio * variance_0
+        self.divergence_abs = (
             None if divergence_ratio is None else divergence_ratio * variance_0
         )
-        check_stop = (
-            target_abs is not None
-            or divergence_abs is not None
-            or max_time is not None
-        )
-        streams = [_TickStream(member.clock, event_cap) for member in live]
-        rngs = [member.rng for member in live]
-        n_upd = np.zeros(n_live, dtype=np.int64)
-        next_recomp = np.full(n_live, DEFAULT_RECOMPUTE_EVERY, dtype=np.int64)
-        prev_des = np.zeros(n_live, dtype=np.int64)  # designated-tick counts
-        last_t = np.zeros(n_live)
+        self.streams = [_TickStream(m.clock, event_cap) for m in members]
+        self.rngs = [m.rng for m in members]
+        self.n_upd = np.zeros(A, dtype=np.int64)
+        self.next_recompute = np.full(A, DEFAULT_RECOMPUTE_EVERY, dtype=np.int64)
+        self.designated = np.zeros(A, dtype=np.int64)  # designated-tick counts
+        self.last_t = np.zeros(A)
+        self.events_done = 0
 
-        end_u = np.ascontiguousarray(graph.edges[:, 0]).astype(np.int64)
-        end_v = np.ascontiguousarray(graph.edges[:, 1]).astype(np.int64)
+    # -- main loop -------------------------------------------------------
 
-        def finalize(i: int, duration: float, n_events: int, label: str) -> None:
-            """Emit row ``i``'s RunResult (reads the *current* arrays)."""
-            member = live[i]
-            final = X[i].copy()
-            tracked = sorted(member.crossings.values(), key=lambda c: -c.threshold)
-            for ki, record in enumerate(tracked):
-                below_at = first_below[ki, i]
-                record.first_below = (None if np.isnan(below_at) else float(below_at))
-                record.last_above = float(last_above[ki, i])
-            results[member.position] = RunResult(
-                values=final,
-                duration=float(duration),
-                n_events=int(n_events),
-                n_updates=int(n_upd[i]),
-                variance_initial=member.variance_0,
-                variance_final=float(np.var(final)),
-                sum_initial=member.sum_0,
-                sum_final=float(final.sum()),
-                crossings=member.crossings,
-                stopped_by=label,
+    def run(self) -> None:
+        # Diverging rows overflow to inf/NaN, which the scalar loop's
+        # Python floats carry silently; so do the numpy passes here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._advance()
+        # Event budget exhausted: finalize the survivors at their last
+        # event's time, exactly as the scalar loop reports them.
+        for i in range(len(self.live)):
+            self._finalize(
+                i, self.last_t[i], self.events_done, self.n_upd[i], "max_events"
             )
 
-        scr = self._scratch
-        k_cap = min(DEFAULT_BATCH_SIZE, event_cap)
-        scr.ensure(n_live, k_cap, update.needs_rng, needs_ops=masked)
-        e_row = np.empty(k_cap, dtype=np.int64)
-        des_row = np.empty(k_cap, dtype=bool)
-        cum_row = np.empty(k_cap, dtype=np.int64)
-
-        events_done = 0
-        while live and events_done < event_cap:
-            # --- staging: widest sub-batch every live row can cover ---
-            k_want = min(DEFAULT_BATCH_SIZE, event_cap - events_done)
-            avail = [stream.prefetch(k_want) for stream in streams]
+    def _advance(self) -> None:
+        while self.live and self.events_done < self.event_cap:
+            k_want = min(
+                self.steps,
+                self.event_cap - self.events_done,
+                int((self.next_recompute - self.n_upd).min()),
+            )
+            avail = [stream.prefetch(k_want) for stream in self.streams]
             if min(avail) == 0:
                 # Some clock delivered nothing and never will again: the
                 # scalar loop's ``clock_exhausted`` exit, at that row's
                 # last processed event.
-                for i in range(len(live)):
-                    if avail[i] == 0:
-                        finalize(i, last_t[i], events_done, "clock_exhausted")
-                kept = np.asarray(
-                    [i for i, a in enumerate(avail) if a > 0], dtype=np.int64
-                )
-                if kept.size == 0:
-                    return results  # type: ignore[return-value]
-                live = [live[i] for i in kept]
-                streams = [streams[i] for i in kept]
-                rngs = [rngs[i] for i in kept]
-                avail = [avail[i] for i in kept]
-                keep = np.zeros(X.shape[0], dtype=bool)
-                keep[kept] = True
-                X = X[keep]
-                flat = X.reshape(-1)
-                total = total[keep]
-                square_sum = square_sum[keep]
-                var_arr = var_arr[keep]
-                n_upd = n_upd[keep]
-                next_recomp = next_recomp[keep]
-                prev_des = prev_des[keep]
-                last_t = last_t[keep]
-                thr_abs = np.ascontiguousarray(thr_abs[:, keep])
-                first_below = np.ascontiguousarray(first_below[:, keep])
-                below_unset = np.ascontiguousarray(below_unset[:, keep])
-                last_above = np.ascontiguousarray(last_above[:, keep])
-                below_active = [
-                    bool(below_unset[ki].any()) for ki in range(n_thresholds)
-                ]
-                if target_abs is not None:
-                    target_abs = target_abs[keep]
-                if divergence_abs is not None:
-                    divergence_abs = divergence_abs[keep]
-            A = len(live)
-            k = min(avail)
-            draw_t = scr.draw_t
-            draw_fu = scr.draw_fu
-            draw_fv = scr.draw_fv
-            for i, stream in enumerate(streams):
-                stream.take_into(k, draw_t[i, :k], e_row[:k])
-                off = i * n
-                np.add(end_u.take(e_row[:k]), off, out=draw_fu[i, :k])
-                np.add(end_v.take(e_row[:k]), off, out=draw_fv[i, :k])
-                if masked:
-                    # Per-tick op codes: the edge class, with designated
-                    # ticks resolved against this row's running epoch
-                    # phase (1-based count of designated ticks mod L).
-                    op_row = scr.draw_op[i, :k]
-                    edge_class.take(e_row[:k], out=op_row)
-                    np.equal(op_row, 2, out=des_row[:k])
-                    des_k = des_row[:k]
-                    if des_k.any():
-                        np.cumsum(des_k, out=cum_row[:k])
-                        cum_k = cum_row[:k]
-                        cum_k += prev_des[i]
-                        prev_des[i] = cum_k[k - 1]
-                        np.mod(cum_k, epoch_length, out=cum_k)
-                        # Silence designated ticks off the epoch boundary.
-                        op_row[des_k & (cum_k != 0)] = 0
-            times_v = scr.times_b[:k, :A]
-            fu_v = scr.fu_b[:k, :A]
-            fv_v = scr.fv_b[:k, :A]
-            _transpose_into(times_v, draw_t[:A, :k])
-            _transpose_into(fu_v, draw_fu[:A, :k])
-            _transpose_into(fv_v, draw_fv[:A, :k])
-            if masked:
-                op_v = scr.op_b[:k, :A]
-                _transpose_into(op_v, scr.draw_op[:A, :k])
-            else:
-                op_v = None
-            if update.needs_rng:
-                update.fill(rngs, k, scr.draw_aux)
-                aux_v = scr.aux_b[:k, :A]
-                _transpose_into(aux_v, scr.draw_aux[:A, :k])
-            else:
-                aux_v = None
-            xu, xv, nu, nv, tmp, tmp2, s1, s2, mean, var = (b[:A] for b in scr.f64_bufs)
-            b1, b2, b3, b4, b5 = (b[:A] for b in scr.bool_bufs)
-            j = 0
-            while j < k:
-                t = times_v[j]
-                fu = fu_v[j]
-                fv = fv_v[j]
-                flat.take(fu, out=xu)
-                flat.take(fv, out=xv)
-                step_no = events_done + j + 1
-                if masked:
-                    op = op_v[j]
-                    # Vanilla rows: both endpoints move to their mean.
-                    np.add(xu, xv, out=nu)
-                    np.multiply(nu, 0.5, out=nu)
-                    np.copyto(nv, nu)
-                    # No-op rows write their own values back (bitwise
-                    # no-op) so one unmasked scatter serves all rows.
-                    np.equal(op, 0, out=b2)
-                    np.copyto(nu, xu, where=b2)
-                    np.copyto(nv, xv, where=b2)
-                    np.equal(op, 2, out=b2)
-                    if b2.any():
-                        for i in np.flatnonzero(b2):
-                            # The non-convex swap, in the scalar oracle's
-                            # exact Python-float expression order.
-                            row = X[i]
-                            if oracle_means:
-                                delta = float(
-                                    row[vertices_2].mean() - row[vertices_1].mean()
-                                )
-                            else:
-                                delta = float(row[b_idx] - row[a_idx])
-                            transfer = gain * delta
-                            new_a = float(row[a_idx]) + transfer
-                            new_b = float(row[b_idx]) - transfer
-                            if u_is_a:
-                                nu[i] = new_a
-                                nv[i] = new_b
-                            else:
-                                nu[i] = new_b
-                                nv[i] = new_a
-                    np.not_equal(op, 0, out=b1)
-                    upd = b1
-                    new_u = nu
-                    new_v = nv
-                else:
-                    upd = None
-                    new_u, new_v = update.apply(
-                        xu,
-                        xv,
-                        None if aux_v is None else aux_v[j],
-                        nu,
-                        nv,
-                        tmp,
-                        tmp2,
+                done = np.array([a == 0 for a in avail])
+                for i in np.flatnonzero(done):
+                    self._finalize(
+                        i,
+                        self.last_t[i],
+                        self.events_done,
+                        self.n_upd[i],
+                        "clock_exhausted",
                     )
-                # Exact association order of the scalar loop's deltas:
-                # ((nu^2 + nv^2) - xu^2) - xv^2 and ((nu+nv) - xu) - xv.
-                if new_u is new_v:
-                    np.multiply(new_u, new_u, out=s1)
-                    np.add(s1, s1, out=s1)
-                else:
-                    np.multiply(new_u, new_u, out=s1)
-                    np.multiply(new_v, new_v, out=s2)
-                    np.add(s1, s2, out=s1)
-                np.multiply(xu, xu, out=s2)
-                np.subtract(s1, s2, out=s1)
-                np.multiply(xv, xv, out=s2)
-                np.subtract(s1, s2, out=s1)
-                np.add(new_u, new_v, out=tmp)
-                np.subtract(tmp, xu, out=tmp)
-                np.subtract(tmp, xv, out=tmp)
-                if upd is None:
-                    square_sum += s1
-                    total += tmp
-                    np.add(n_upd, 1, out=n_upd)
-                else:
-                    # ufunc where=, not multiply-by-mask: a no-op row's
-                    # "zero" delta is not exactly 0.0 after cancellation,
-                    # and 0.0 * inf/nan would poison the sums.
-                    np.add(square_sum, s1, out=square_sum, where=upd)
-                    np.add(total, tmp, out=total, where=upd)
-                    np.add(n_upd, upd, out=n_upd)
-                flat[fu] = new_u
-                flat[fv] = new_v
-                # Per-row exact recompute on the scalar loop's per-row
-                # update boundaries (rows cross at different times).
-                np.greater_equal(n_upd, next_recomp, out=b3)
-                if b3.any():
-                    for i in np.flatnonzero(b3):
-                        row = X[i]
-                        total[i] = row.sum()
-                        square_sum[i] = row @ row
-                        next_recomp[i] = n_upd[i] + DEFAULT_RECOMPUTE_EVERY
-                np.multiply(total, inv_n, out=mean)
-                np.multiply(square_sum, inv_n, out=var)
-                np.multiply(mean, mean, out=mean)
-                np.subtract(var, mean, out=var)
-                np.maximum(var, 0.0, out=var)  # undershoot clamp (NaN passes)
-                if upd is None:
-                    np.copyto(var_arr, var)
-                else:
-                    np.copyto(var_arr, var, where=upd)
-                for ki in range(n_thresholds):
-                    np.greater(var_arr, thr_abs[ki], out=b3)
-                    np.copyto(last_above[ki], t, where=b3)
-                    if below_active[ki]:
-                        unset = below_unset[ki]
-                        np.logical_not(b3, out=b4)
-                        np.logical_and(b4, unset, out=b4)
-                        np.copyto(first_below[ki], t, where=b4)
-                        np.logical_and(unset, b3, out=unset)
-                        if not (step_no & 255):
-                            below_active[ki] = bool(unset.any())
-                if check_stop:
-                    stop = None
-                    if target_abs is not None:
-                        np.less_equal(var_arr, target_abs, out=b3)
-                        stop = b3
-                    if divergence_abs is not None:
-                        buf = b3 if stop is None else b4
-                        np.less_equal(var_arr, divergence_abs, out=buf)
-                        np.logical_not(buf, out=buf)
-                        stop = (
-                            buf
-                            if stop is None
-                            else np.logical_or(stop, buf, out=stop)
-                        )
-                    if max_time is not None:
-                        buf = b3 if stop is None else b4
-                        np.greater_equal(t, max_time, out=buf)
-                        stop = (
-                            buf
-                            if stop is None
-                            else np.logical_or(stop, buf, out=stop)
-                        )
-                    if stop.any():
-                        hit = (
-                            var_arr <= target_abs
-                            if target_abs is not None
-                            else None
-                        )
-                        diverged = (
-                            ~(var_arr <= divergence_abs)
-                            if divergence_abs is not None
-                            else None
-                        )
-                        for i in np.flatnonzero(stop):
-                            if hit is not None and hit[i]:
-                                label = "target_ratio"
-                            elif diverged is not None and diverged[i]:
-                                label = "diverged"
-                            else:
-                                label = "max_time"
-                            finalize(i, t[i], step_no, label)
-                        keep = ~stop
-                        kept = np.flatnonzero(keep)
-                        live = [live[i] for i in kept]
-                        if not live:
-                            break
-                        streams = [streams[i] for i in kept]
-                        rngs = [rngs[i] for i in kept]
-                        A = kept.size
-                        X = X[keep]
-                        flat = X.reshape(-1)
-                        total = total[keep]
-                        square_sum = square_sum[keep]
-                        var_arr = var_arr[keep]
-                        n_upd = n_upd[keep]
-                        next_recomp = next_recomp[keep]
-                        prev_des = prev_des[keep]
-                        thr_abs = np.ascontiguousarray(thr_abs[:, keep])
-                        first_below = np.ascontiguousarray(first_below[:, keep])
-                        below_unset = np.ascontiguousarray(below_unset[:, keep])
-                        last_above = np.ascontiguousarray(last_above[:, keep])
-                        below_active = [
-                            bool(below_unset[ki].any())
-                            for ki in range(n_thresholds)
-                        ]
-                        if target_abs is not None:
-                            target_abs = target_abs[keep]
-                        if divergence_abs is not None:
-                            divergence_abs = divergence_abs[keep]
-                        # Repack the rest of the batch into the leading
-                        # columns and re-bake the flat indices' row
-                        # offsets for the denser row numbering.
-                        shift = (np.arange(A, dtype=np.int64) - kept) * n
-                        packed_t = times_v[:, kept]
-                        packed_fu = fu_v[:, kept] + shift
-                        packed_fv = fv_v[:, kept] + shift
-                        times_v = scr.times_b[:k, :A]
-                        fu_v = scr.fu_b[:k, :A]
-                        fv_v = scr.fv_b[:k, :A]
-                        times_v[:] = packed_t
-                        fu_v[:] = packed_fu
-                        fv_v[:] = packed_fv
-                        if op_v is not None:
-                            packed_op = op_v[:, kept]
-                            op_v = scr.op_b[:k, :A]
-                            op_v[:] = packed_op
-                        if aux_v is not None:
-                            packed_a = aux_v[:, kept]
-                            aux_v = scr.aux_b[:k, :A]
-                            aux_v[:] = packed_a
-                        (xu, xv, nu, nv, tmp, tmp2, s1, s2, mean, var) = (
-                            b[:A] for b in scr.f64_bufs
-                        )
-                        b1, b2, b3, b4, b5 = (b[:A] for b in scr.bool_bufs)
-                j += 1
-            events_done += k
-            if live:
-                # Copy, not view: the shared batch buffer is overwritten
-                # by the next batch, and survivors report this time.
-                last_t = times_v[k - 1].copy()
-
-        # Event budget exhausted: finalize the survivors at their last
-        # event's time, exactly as the scalar loop reports them.
-        for i in range(len(live)):
-            finalize(i, last_t[i], events_done, "max_events")
-        return results  # type: ignore[return-value]
-
-    def _setup_members(
-        self,
-        specs: "Sequence[ReplicateSpec]",
-        graph: Any,
-        thresholds: "Sequence[float]",
-        results: "list[RunResult | None]",
-    ) -> "list[_Member]":
-        """Per-replicate setup, mirroring the scalar path draw for draw.
-
-        Replicates whose workload is already averaged short-circuit to
-        their zero-variance result here (never entering lockstep),
-        exactly as the scalar loop returns before its first event.
-        """
-        members: "list[_Member]" = []
-        for position, spec in enumerate(specs):
-            clock_seq, workload_seq, algorithm_seq = replicate_substreams(spec)
-            clock_rng = np.random.default_rng(clock_seq)
-            if callable(spec.initial_values):
-                workload_rng = np.random.default_rng(workload_seq)
-                raw_values = spec.initial_values(workload_rng)
-            else:
-                raw_values = spec.initial_values
-            values = np.asarray(raw_values, dtype=np.float64)
-            if values.shape != (graph.n_vertices,):
-                raise SimulationError(
-                    f"initial_values must have shape ({graph.n_vertices},), "
-                    f"got {values.shape}"
-                )
-            values = values.copy()
-            member = _Member(position)
-            member.values = values
-            member.variance_0 = float(np.var(values))
-            member.sum_0 = float(values.sum())
-            member.crossings = {
-                float(thr): Crossing(threshold=float(thr)) for thr in thresholds
-            }
-            if member.variance_0 == 0.0:
-                results[position] = RunResult(
-                    values=values,
-                    duration=0.0,
-                    n_events=0,
-                    n_updates=0,
-                    variance_initial=0.0,
-                    variance_final=0.0,
-                    sum_initial=member.sum_0,
-                    sum_final=member.sum_0,
-                    crossings=member.crossings,
-                    stopped_by="target_ratio",
-                )
+                self._compact(~done)
                 continue
-            member.square_sum_0 = float(values @ values)
-            if spec.clock_factory is not None:
-                member.clock = spec.clock_factory(clock_rng)
+            k = min(avail)
+            swaps = self._stage(k)
+            self._record(k, swaps)
+            self._scan(k)
+
+    # -- staging ---------------------------------------------------------
+
+    def _stage(self, k: int) -> "list[tuple[int, int]]":
+        """Fill the step-major tick matrices for the next ``k`` steps.
+
+        Returns the ``(step, row)`` cells that fire Algorithm A's swap,
+        in step order.
+        """
+        arena = self.arena
+        A = len(self.live)
+        n1 = self.n + 1
+        ticks = [stream.take(k) for stream in self.streams]
+        # Times stay replicate-major: only the scan reads them.
+        times = arena.view("times", A, k)
+        stage_e = arena.view("stage_e", A, k, np.int64)
+        np.concatenate([t for t, _ in ticks], out=times.reshape(-1))
+        np.concatenate([e for _, e in ticks], out=stage_e.reshape(-1))
+        edges = arena.view("edges", k, A, np.int64)
+        _transpose_into(edges, stage_e)
+        offsets = np.arange(A, dtype=np.int64) * n1
+        fu = arena.view("fu", k, A, np.int64)
+        fv = arena.view("fv", k, A, np.int64)
+        # mode="clip" (the indices are in range by construction) lets
+        # take() write straight into ``out``; "raise" buffers it.
+        self.end_u.take(edges, out=fu, mode="clip")
+        fu += offsets
+        self.end_v.take(edges, out=fv, mode="clip")
+        fv += offsets
+        self.times, self.fu, self.fv = times, fu, fv
+
+        update = self.update
+        if isinstance(update, ConvexUpdate) and update.alpha is None:
+            stage_a = arena.view("stage_a", A, k)
+            for i, rng in enumerate(self.rngs):
+                stage_a[i] = rng.uniform(update.low, update.high, size=k)
+            a_w = arena.view("a_w", k, A)
+            _transpose_into(a_w, stage_a)
+            b_w = arena.view("b_w", k, A)
+            np.subtract(1.0, a_w, out=b_w)
+            self.weights = (a_w, b_w)
+
+        # Rows reaching ``max_time`` stop at their first such tick; the
+        # steps after it must leave the row untouched.
+        self.time_stop = np.full(A, k, dtype=np.int64)
+        if self.max_time is not None:
+            late = arena.view("late", A, k, bool)
+            np.greater_equal(times, self.max_time, out=late)
+            for i in np.flatnonzero(late.any(axis=1)):
+                self.time_stop[i] = late[i].argmax()
+
+        pads = offsets + self.n
+        swaps: "list[tuple[int, int]]" = []
+        if self.masked:
+            upd = arena.view("upd", k, A, bool)
+            op = update.edge_class.take(edges)
+            np.equal(op, 1, out=upd)
+            steps, rows = self._epoch_swaps(op == 2)
+            # Swaps are updates too, unless past the row's time stop.
+            keep = steps <= self.time_stop[rows]
+            steps, rows = steps[keep], rows[keep]
+            upd[steps, rows] = True
+            for i in np.flatnonzero(self.time_stop < k - 1):
+                upd[self.time_stop[i] + 1 :, i] = False
+            self.upd = upd
+            idle = ~upd
+            np.copyto(fu, pads, where=idle)
+            np.copyto(fv, pads, where=idle)
+            swaps = list(zip(steps.tolist(), rows.tolist()))
+        else:
+            for i in np.flatnonzero(self.time_stop < k - 1):
+                fu[self.time_stop[i] + 1 :, i] = pads[i]
+                fv[self.time_stop[i] + 1 :, i] = pads[i]
+        return swaps
+
+    def _epoch_swaps(
+        self, designated: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The ``(steps, rows)`` of designated ticks that fire the swap.
+
+        The swap fires when the row's 1-based running count of
+        designated ticks is a multiple of the epoch length.  Designated
+        ticks are rare, so the counts are ranked per row over the
+        nonzero cells only; the cells come back in step order.
+        """
+        steps, rows = np.nonzero(designated)
+        by_row = np.argsort(rows, kind="stable")  # steps ascend within a row
+        sorted_rows = rows[by_row]
+        first = np.searchsorted(sorted_rows, sorted_rows)
+        count = np.empty_like(rows)
+        count[by_row] = (
+            self.designated[sorted_rows] + np.arange(1, rows.size + 1) - first
+        )
+        self.designated += np.bincount(rows, minlength=designated.shape[1])
+        fire = count % self.update.epoch_length == 0
+        return steps[fire], rows[fire]
+
+    # -- recording -------------------------------------------------------
+
+    def _record(self, k: int, swaps: "list[tuple[int, int]]") -> None:
+        """The per-tick body: gather, update, scatter — nothing else."""
+        arena = self.arena
+        A = len(self.live)
+        flat = self.X.reshape(-1)
+        take = flat.take
+        add = np.add
+        multiply = np.multiply
+        xu_h = self.xu = arena.view("xu", k, A)
+        xv_h = self.xv = arena.view("xv", k, A)
+        nu_h = self.nu = arena.view("nu", k, A)
+        self.swapped: "list[tuple[int, int, float, float]]" = []
+        if self.mean:
+            self.nv = nu_h
+            next_swap = swaps[0][0] if swaps else -1
+            for j, (fu, fv, xu, xv, nu) in enumerate(
+                zip(self.fu, self.fv, xu_h, xv_h, nu_h)
+            ):
+                take(fu, out=xu, mode="clip")
+                take(fv, out=xv, mode="clip")
+                add(xu, xv, out=nu)
+                multiply(nu, 0.5, out=nu)
+                nv = nu
+                if j == next_swap:
+                    nv = self._swap(j, swaps, nu)
+                    next_swap = swaps[0][0] if swaps else -1
+                flat[fu] = nu
+                flat[fv] = nv
+            return
+        nv_h = self.nv = arena.view("nv", k, A)
+        tmp = np.empty(A)
+        alpha = self.update.alpha
+        if alpha is None:
+            a_w, b_w = self.weights
+        else:
+            a_w = itertools.repeat(alpha)
+            b_w = itertools.repeat(1.0 - alpha)
+        for fu, fv, xu, xv, nu, nv, a, b in zip(
+            self.fu, self.fv, xu_h, xv_h, nu_h, nv_h, a_w, b_w
+        ):
+            take(fu, out=xu, mode="clip")
+            take(fv, out=xv, mode="clip")
+            multiply(xu, a, out=nu)
+            multiply(xv, b, out=tmp)
+            add(nu, tmp, out=nu)  # a*x_u + b*x_v
+            multiply(xv, a, out=nv)
+            multiply(xu, b, out=tmp)
+            add(nv, tmp, out=nv)  # a*x_v + b*x_u
+            flat[fu] = nu
+            flat[fv] = nv
+
+    def _swap(
+        self, j: int, swaps: "list[tuple[int, int]]", nu: np.ndarray
+    ) -> np.ndarray:
+        """Apply step ``j``'s swap rows; returns the ``x_v`` values to write.
+
+        Pops the step's cells off ``swaps`` and remembers each swap's new
+        values for the scan, whose vectorized deltas assume averaging.
+        """
+        nv = nu.copy()
+        while swaps and swaps[0][0] == j:
+            _, i = swaps.pop(0)
+            new_u, new_v = self.update.swap(self.X[i])
+            nu[i] = new_u
+            nv[i] = new_v
+            self.swapped.append((j, i, new_u, new_v))
+        return nv
+
+    # -- scanning --------------------------------------------------------
+
+    def _scan(self, k: int) -> None:
+        """Replay the scalar loop's per-tick bookkeeping over the history.
+
+        Works through the ``k`` steps in chunks of at most
+        ``_SCAN_ELEMENTS`` cells, so the scratch it streams through stays
+        cache-resident at any width; the running sums carry across
+        chunks, and a row's stop step, once found, bounds the threshold
+        search of every later step.
+        """
+        A = len(self.live)
+        cols = np.arange(A)
+        if self.masked:
+            counts = self.upd.sum(axis=0)
+        else:
+            counts = np.minimum(self.time_stop + 1, k)
+        n_upd = self.n_upd + counts
+        # The sub-batch holds no step past a recompute boundary, so only
+        # its last step can reach one: same reductions as the scalar
+        # refresh, on a fresh contiguous copy of the row.
+        recompute = np.flatnonzero(n_upd >= self.next_recompute)
+        rows = [self.X[i, : self.n].copy() for i in recompute]
+        totals = np.array([row.sum() for row in rows])
+        squares = np.array([row @ row for row in rows])
+        self.next_recompute[recompute] = n_upd[recompute] + DEFAULT_RECOMPUTE_EVERY
+        # Per-row stop step (k = none yet) and cause: 0 max_time,
+        # 1 target_ratio, 2 diverged.
+        stop = self.time_stop.copy()
+        cause = np.zeros(A, dtype=np.int8)
+        fresh = self.n_upd == 0 if self.masked else None
+        chunk = max(1, _SCAN_ELEMENTS // A)
+        for j0 in range(0, k, chunk):
+            j1 = min(j0 + chunk, k)
+            var = self._variance(j0, j1)
+            if j1 == k and recompute.size:
+                # Swap the refreshed sums in for the last step's.
+                self.total[recompute] = totals
+                self.square_sum[recompute] = squares
+                mean = totals * self.inv_n
+                last = squares * self.inv_n - mean * mean
+                var[-1, recompute] = np.maximum(last, 0.0)
+            if fresh is not None and fresh.any():
+                # Before a row's first update the scalar loop still holds
+                # the np.var initial value, which the formula does not
+                # reproduce to the last ulp.
+                seen = np.logical_or.accumulate(self.upd[j0:j1], axis=0)
+                np.copyto(var, self.variance, where=~seen & fresh)
+                fresh &= ~seen[-1]
+            self._find_stops(var, j0, stop, cause)
+            self._track_thresholds(var, j0, stop, cols)
+            self.variance = var[-1].copy()
+
+        self.events_done += k
+        times = self.times
+        self.last_t = times[:, k - 1].copy()
+        stopped = np.flatnonzero(stop < k)
+        flat = self.X.reshape(-1)
+        for i in stopped:
+            j = int(stop[i])
+            if cause[i]:
+                self._rollback(i, j, flat)
+            if self.masked:
+                updates = self.n_upd[i] + self.upd[: j + 1, i].sum()
             else:
-                member.clock = PoissonEdgeClocks(graph.n_edges, seed=clock_rng)
-            clock_edges = getattr(member.clock, "n_edges", None)
-            if clock_edges != graph.n_edges:
-                raise SimulationError(
-                    f"clock models {clock_edges} edges but the "
-                    f"graph has {graph.n_edges}"
+                updates = self.n_upd[i] + j + 1
+            events = self.events_done - k + j + 1
+            label = ("max_time", "target_ratio", "diverged")[cause[i]]
+            self._finalize(i, times[i, j], events, updates, label)
+        self.n_upd = n_upd
+        if stopped.size:
+            self._compact(stop >= k)
+
+    def _variance(self, j0: int, j1: int) -> np.ndarray:
+        """The variance after each of steps ``j0..j1-1``, per row.
+
+        Also advances the carried ``total``/``square_sum`` to step
+        ``j1 - 1``.
+        """
+        arena = self.arena
+        A = len(self.live)
+        c = j1 - j0
+        xu, xv = self.xu[j0:j1], self.xv[j0:j1]
+        nu, nv = self.nu[j0:j1], self.nv[j0:j1]
+        tmp = arena.view("tmp", c, A)
+        # Running sums with the carried values as row 0, so a running
+        # sum down the steps reproduces the scalar ``+=`` sequence.
+        sq = arena.view("sq", c + 1, A)
+        tot = arena.view("tot", c + 1, A)
+        sq[0] = self.square_sum
+        tot[0] = self.total
+        d_sq = sq[1:]
+        d_tot = tot[1:]
+        # ((nu^2 + nv^2) - xu^2) - xv^2 and ((nu + nv) - xu) - xv.
+        np.multiply(nu, nu, out=d_sq)
+        if self.nv is self.nu:
+            np.add(d_sq, d_sq, out=d_sq)
+        else:
+            np.multiply(nv, nv, out=tmp)
+            np.add(d_sq, tmp, out=d_sq)
+        np.multiply(xu, xu, out=tmp)
+        np.subtract(d_sq, tmp, out=d_sq)
+        np.multiply(xv, xv, out=tmp)
+        np.subtract(d_sq, tmp, out=d_sq)
+        np.add(nu, nv, out=d_tot)
+        np.subtract(d_tot, xu, out=d_tot)
+        np.subtract(d_tot, xv, out=d_tot)
+        for j, i, new_u, new_v in self.swapped:
+            if j0 <= j < j1:
+                old_u = float(xu[j - j0, i])
+                old_v = float(xv[j - j0, i])
+                d_sq[j - j0, i] = (
+                    new_u * new_u + new_v * new_v - old_u * old_u - old_v * old_v
                 )
-            member.rng = np.random.default_rng(algorithm_seq)
-            members.append(member)
-        return members
+                d_tot[j - j0, i] = new_u + new_v - old_u - old_v
+        np.add.accumulate(sq, axis=0, out=sq)
+        np.add.accumulate(tot, axis=0, out=tot)
+        self.square_sum = sq[c].copy()
+        self.total = tot[c].copy()
+        # S/n - (T/n)^2, clamped at 0 (NaN passes), in place.
+        var = d_sq
+        mean = d_tot
+        np.multiply(var, self.inv_n, out=var)
+        np.multiply(mean, self.inv_n, out=mean)
+        np.multiply(mean, mean, out=mean)
+        np.subtract(var, mean, out=var)
+        np.maximum(var, 0.0, out=var)
+        return var
+
+    def _find_stops(
+        self, var: np.ndarray, j0: int, stop: np.ndarray, cause: np.ndarray
+    ) -> None:
+        """Lower ``stop`` to each row's first target/divergence step.
+
+        A data stop on a row's ``max_time`` step wins, as the scalar
+        loop checks the target, then divergence, then the time budget.
+        """
+        hit = None if self.target_abs is None else var <= self.target_abs
+        diverged = (
+            None if self.divergence_abs is None else ~(var <= self.divergence_abs)
+        )  # NaN diverges
+        if hit is None and diverged is None:
+            return
+        if hit is None or diverged is None:
+            flagged = hit if diverged is None else diverged
+        else:
+            flagged = hit | diverged
+        found = flagged.any(axis=0)
+        if not found.any():
+            return
+        first = flagged.argmax(axis=0)
+        rows = np.flatnonzero(found & (j0 + first <= stop))
+        at = first[rows]
+        stop[rows] = j0 + at
+        if hit is None:
+            cause[rows] = 2
+        else:
+            cause[rows] = np.where(hit[at, rows], 1, 2)
+
+    def _track_thresholds(
+        self, var: np.ndarray, j0: int, stop: np.ndarray, cols: np.ndarray
+    ) -> None:
+        """Update the crossing records from steps ``j0..`` of ``var``.
+
+        The scalar loop's per-tick branch: ``last_above`` takes every
+        above-threshold tick, ``first_below`` the first other tick while
+        unset (NaN counts as below); steps past a row's stop do not
+        count.
+        """
+        c = var.shape[0]
+        times = self.times[:, j0 : j0 + c]
+        valid = None
+        if (stop < j0 + c - 1).any():
+            valid = np.less_equal(np.arange(j0, j0 + c)[:, None], stop)
+        above = self.arena.view("above", c, var.shape[1], bool)
+        for ki in range(self.thr_abs.shape[0]):
+            np.greater(var, self.thr_abs[ki], out=above)
+            unset = self.below_unset[ki]
+            if unset.any():
+                below = ~above
+                if valid is not None:
+                    below &= valid
+                found = below.any(axis=0) & unset
+                at = below.argmax(axis=0)
+                np.copyto(self.first_below[ki], times[cols, at], where=found)
+                unset &= ~found
+            if valid is not None:
+                above &= valid
+            found = above.any(axis=0)
+            at = c - 1 - above[::-1].argmax(axis=0)
+            np.copyto(self.last_above[ki], times[cols, at], where=found)
+
+    def _rollback(self, i: int, j: int, flat: np.ndarray) -> None:
+        """Restore row ``i`` to its state right after step ``j``.
+
+        The recorded pre-update values of the later steps hold it: each
+        cell they wrote gets back its value from the earliest of them.
+        """
+        cells = np.stack((self.fu[j + 1 :, i], self.fv[j + 1 :, i]), axis=1).ravel()
+        olds = np.stack((self.xu[j + 1 :, i], self.xv[j + 1 :, i]), axis=1).ravel()
+        cells, first = np.unique(cells, return_index=True)
+        flat[cells] = olds[first]
+
+    # -- bookkeeping -----------------------------------------------------
+
+    def _finalize(
+        self, i: int, duration: float, n_events: int, n_updates: int, label: str
+    ) -> None:
+        """Emit row ``i``'s RunResult (reads the *current* arrays)."""
+        member = self.live[i]
+        final = self.X[i, : self.n].copy()
+        tracked = sorted(member.crossings.values(), key=lambda c: -c.threshold)
+        for ki, record in enumerate(tracked):
+            below_at = self.first_below[ki, i]
+            record.first_below = None if np.isnan(below_at) else float(below_at)
+            record.last_above = float(self.last_above[ki, i])
+        self.results[member.position] = RunResult(
+            values=final,
+            duration=float(duration),
+            n_events=int(n_events),
+            n_updates=int(n_updates),
+            variance_initial=member.variance_0,
+            variance_final=float(np.var(final)),
+            sum_initial=member.sum_0,
+            sum_final=float(final.sum()),
+            crossings=member.crossings,
+            stopped_by=label,
+        )
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """Drop the rows not in ``keep`` from every per-row structure."""
+        kept = np.flatnonzero(keep)
+        self.live = [self.live[i] for i in kept]
+        self.streams = [self.streams[i] for i in kept]
+        self.rngs = [self.rngs[i] for i in kept]
+        for name in (
+            "X",
+            "total",
+            "square_sum",
+            "variance",
+            "n_upd",
+            "next_recompute",
+            "designated",
+            "last_t",
+            "target_abs",
+            "divergence_abs",
+        ):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[kept])
+        for name in ("thr_abs", "first_below", "below_unset", "last_above"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name)[:, kept]))
+
+
+def _setup_members(
+    specs: "Sequence[ReplicateSpec]",
+    graph: Any,
+    thresholds: "Sequence[float]",
+    results: "list[RunResult | None]",
+) -> "list[_Member]":
+    """Per-replicate setup, mirroring the scalar path draw for draw.
+
+    Replicates whose workload is already averaged short-circuit to
+    their zero-variance result here (never entering lockstep),
+    exactly as the scalar loop returns before its first event.
+    """
+    members: "list[_Member]" = []
+    for position, spec in enumerate(specs):
+        clock_seq, workload_seq, algorithm_seq = replicate_substreams(spec)
+        clock_rng = np.random.default_rng(clock_seq)
+        if callable(spec.initial_values):
+            workload_rng = np.random.default_rng(workload_seq)
+            raw_values = spec.initial_values(workload_rng)
+        else:
+            raw_values = spec.initial_values
+        values = np.asarray(raw_values, dtype=np.float64)
+        if values.shape != (graph.n_vertices,):
+            raise SimulationError(
+                f"initial_values must have shape ({graph.n_vertices},), "
+                f"got {values.shape}"
+            )
+        values = values.copy()
+        member = _Member(position)
+        member.values = values
+        member.variance_0 = float(np.var(values))
+        member.sum_0 = float(values.sum())
+        member.crossings = {
+            float(thr): Crossing(threshold=float(thr)) for thr in thresholds
+        }
+        if member.variance_0 == 0.0:
+            results[position] = RunResult(
+                values=values,
+                duration=0.0,
+                n_events=0,
+                n_updates=0,
+                variance_initial=0.0,
+                variance_final=0.0,
+                sum_initial=member.sum_0,
+                sum_final=member.sum_0,
+                crossings=member.crossings,
+                stopped_by="target_ratio",
+            )
+            continue
+        member.square_sum_0 = float(values @ values)
+        if spec.clock_factory is not None:
+            member.clock = spec.clock_factory(clock_rng)
+        else:
+            member.clock = PoissonEdgeClocks(graph.n_edges, seed=clock_rng)
+        clock_edges = getattr(member.clock, "n_edges", None)
+        if clock_edges != graph.n_edges:
+            raise SimulationError(
+                f"clock models {clock_edges} edges but the "
+                f"graph has {graph.n_edges}"
+            )
+        member.rng = np.random.default_rng(algorithm_seq)
+        members.append(member)
+    return members
 
 
 def _parse_run_kwargs(

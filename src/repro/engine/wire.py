@@ -174,6 +174,14 @@ class FrameDecoder:
     *without ever reaching* ``pickle.loads``.  ``max_frame_bytes`` is
     likewise mutable so the cap can start at the handshake bound and be
     raised once the peer has proven itself.
+
+    While pickle is locked, each feed decodes at most one frame and
+    leaves the bytes behind it buffered and unjudged: a peer that
+    pipelines its first post-handshake frame right behind ``auth-ok``
+    (the coordinator's shared-state frame, routinely larger than the
+    handshake cap) is read under the raised cap once the caller has
+    verified the handshake and unlocked the decoder — ``feed(b"")``
+    then decodes what is buffered.
     """
 
     def __init__(
@@ -210,6 +218,8 @@ class FrameDecoder:
             body = bytes(self._buffer[_LENGTH.size + 1 : end])
             del self._buffer[:end]
             frames.append(self._decode_body(tag, body))
+            if not self.allow_pickle:
+                break
         return frames
 
     def _decode_body(self, tag: int, body: bytes) -> "tuple[str, Any]":
@@ -316,6 +326,10 @@ class Connection:
         healthy and buffered partial frames are kept.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._queued and self._decoder.pending_bytes:
+            # A locked decoder leaves the frames behind a handshake
+            # frame buffered; decode them under the cap now in force.
+            self._queued.extend(self._decoder.feed(b""))
         while not self._queued:
             if deadline is not None:
                 remaining = deadline - time.monotonic()

@@ -19,11 +19,10 @@ runner's shared-state shipping can install each point's graph once per
 worker.
 
 The kernel layer (:mod:`repro.engine.kernels`) composes with every
-sweep declared here: the convex arms (``"vanilla"``, ``"convex"``)
-take the dense lockstep loop and the ``"algorithm_a"`` arms take the
-epoch-aware generalized loop (per-row epoch state machine over the
-designated edge), so every sweep advances whole replicate windows in
-numpy lockstep — with bit-identical :class:`SweepResult` output
+sweep declared here: the convex arms (``"vanilla"``, ``"convex"``) and
+the ``"algorithm_a"`` arms (per-row epoch state machine over the
+designated edge) all take the record-then-scan lockstep loop, so every
+sweep advances whole replicate windows in numpy lockstep — with bit-identical :class:`SweepResult` output
 either way, so ``--kernel`` is purely a throughput knob.  Run
 ``repro-experiments kernel explain <sweep-id>`` for per-configuration
 eligibility verdicts.
@@ -135,9 +134,8 @@ def _point_config(pair: BridgedPair, algorithm: str) -> PointConfig:
     """The measurement every ported sweep point runs: T_av of one
     algorithm on one bridged pair under the cut-aligned workload.
 
-    Both arms vectorize: ``"vanilla"`` through the dense lockstep loop,
-    ``"algorithm_a"`` through the epoch-aware generalized loop — see
-    ``docs/kernels.md``.
+    Both arms vectorize through the record-then-scan lockstep loop —
+    see ``docs/kernels.md``.
     """
     x0 = cut_aligned(pair.partition)
     if algorithm == "vanilla":

@@ -109,8 +109,23 @@ class SweepSource:
     # -- store ---------------------------------------------------------
 
     def _from_store(self, spec, seed, budget) -> "SweepResult | None":
-        from repro.engine.store import run_sweep_cached, sweep_fingerprint
+        from repro.engine.store import (
+            result_fingerprint,
+            run_sweep_cached,
+            sweep_fingerprint,
+        )
 
+        if self.compute:
+            # One lookup: a hit loads the stored result, a miss computes
+            # and records it.
+            return run_sweep_cached(
+                spec,
+                store=self.store,
+                seed=seed,
+                budget=budget,
+                n_workers=self.n_workers,
+                kernel=self.kernel,
+            ).result
         fingerprint = sweep_fingerprint(spec, seed=seed, budget=budget)
         row = self.store.lookup(fingerprint)
         if row is not None and row.status == "done":
@@ -119,22 +134,10 @@ class SweepSource:
         # satisfies a read-only resolution (the drift gate's point is
         # precisely to recompute claims against such data).
         expected = expected_result_fingerprint(spec, seed, budget)
-        if not self.compute:
-            from repro.engine.store import result_fingerprint
-
-            for _run, result in self.store.results_for_sweep(spec.name):
-                if result_fingerprint(result) == expected:
-                    return result
-            return None
-        outcome = run_sweep_cached(
-            spec,
-            store=self.store,
-            seed=seed,
-            budget=budget,
-            n_workers=self.n_workers,
-            kernel=self.kernel,
-        )
-        return outcome.result
+        for _run, result in self.store.results_for_sweep(spec.name):
+            if result_fingerprint(result) == expected:
+                return result
+        return None
 
     # -- artifacts -----------------------------------------------------
 

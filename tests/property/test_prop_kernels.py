@@ -216,3 +216,72 @@ class TestGeneralizedLoopEquivalence:
             max_events=8_000,
             target_ratio=1e-5,
         )
+
+
+class TestRecordThenScanEquivalence:
+    """The record-then-scan loop's sub-batch mechanics, searched
+    randomly: data-dependent stops rolled back inside a sub-batch, rows
+    stopping at different steps, staged no-op redirects under a lossy
+    clock, and the exact-recompute boundary."""
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.floats(0.5, 40.0),
+        st.floats(1e-6, 0.5),
+        st.floats(1.0, 8.0),
+        st.floats(0.5, 30.0),
+        st.floats(0.0, 0.6),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_mixed_stops_under_a_lossy_clock(
+        self, seed, gain, target, divergence, max_time, drop
+    ):
+        from repro.algorithms.nonconvex import NonConvexSparseCutGossip
+        from repro.clocks.unreliable import LossyPoissonClockFactory
+        from repro.graphs.composites import dumbbell_graph
+
+        pair = dumbbell_graph(8)
+        n = pair.graph.n_vertices
+
+        def workload(rng):
+            return rng.normal(size=n)
+
+        kernels_agree(
+            pair.graph,
+            AlgorithmFactory(
+                NonConvexSparseCutGossip,
+                pair.partition,
+                epoch_length=3,
+                gain=gain,
+            ),
+            workload,
+            seed,
+            12,
+            clock=LossyPoissonClockFactory(pair.graph.n_edges, drop),
+            max_events=3_000,
+            max_time=max_time,
+            target_ratio=target,
+            divergence_ratio=divergence,
+            thresholds=(1.0, 0.5, np.e**-2),
+        )
+
+    @given(st.integers(0, 2**31 - 1), st.floats(0.9990, 0.9998))
+    @settings(max_examples=3, deadline=None)
+    def test_recompute_boundary(self, seed, alpha):
+        from repro.algorithms.convex import ConvexGossip
+        from repro.engine.simulator import DEFAULT_RECOMPUTE_EVERY
+
+        graph = complete_graph(6)
+
+        def workload(rng):
+            return rng.normal(size=6)
+
+        kernels_agree(
+            graph,
+            AlgorithmFactory(ConvexGossip, alpha=alpha),
+            workload,
+            seed,
+            2,
+            max_events=DEFAULT_RECOMPUTE_EVERY + 2_000,
+            thresholds=(1e-9, 1e-12, 1e-15),
+        )

@@ -14,6 +14,7 @@ import os
 import socket
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.algorithms.vanilla import VanillaGossip
 from repro.engine import wire
 from repro.engine.backends import (
     SerialBackend,
+    pickle_shared_state,
     registered_backends,
     resolve_backend,
     shutdown_shared_backends,
@@ -28,6 +30,7 @@ from repro.engine.backends import (
 from repro.engine.cluster import (
     ClusterBackend,
     FaultPlan,
+    _WorkerHandle,
     run_worker,
     worker_handshake,
 )
@@ -106,6 +109,31 @@ class TestWireFraming:
         decoder = wire.FrameDecoder(allow_pickle=False)
         frame = wire.encode_json_frame("auth-challenge", {"nonce": "abc"})
         assert decoder.feed(frame) == [("auth-challenge", {"nonce": "abc"})]
+
+    def test_locked_decoder_leaves_frames_behind_the_handshake_unjudged(self):
+        """auth-ok with a >64 KiB pickle frame right behind it: the
+        locked decoder returns the handshake frame alone and judges the
+        rest only under the cap in force when it is fed again."""
+        handshake = wire.encode_json_frame(wire.MSG_AUTH_OK, {"mac": "m"})
+        state = {"blob": bytes(2 * wire.HANDSHAKE_MAX_FRAME_BYTES)}
+        stream = handshake + wire.encode_frame(wire.MSG_STATE, state)
+
+        def locked_decoder():
+            return wire.FrameDecoder(
+                max_frame_bytes=wire.HANDSHAKE_MAX_FRAME_BYTES, allow_pickle=False
+            )
+
+        still_locked = locked_decoder()
+        assert still_locked.feed(stream) == [(wire.MSG_AUTH_OK, {"mac": "m"})]
+        assert still_locked.pending_bytes == len(stream) - len(handshake)
+        # Still locked: the handshake cap (and the pickle refusal) hold.
+        with pytest.raises(ClusterError, match="limit"):
+            still_locked.feed(b"")
+        unlocked = locked_decoder()
+        unlocked.feed(stream)
+        unlocked.allow_pickle = True
+        unlocked.max_frame_bytes = wire.MAX_FRAME_BYTES
+        assert unlocked.feed(b"") == [(wire.MSG_STATE, state)]
 
     def test_malformed_json_frame_rejected(self):
         def json_frame(body: bytes) -> bytes:
@@ -230,6 +258,42 @@ class TestAuthHelpers:
         try:
             worker_handshake(worker_conn, token, "w-1", timeout=10.0)
             assert worker_conn.allow_pickle
+        finally:
+            thread.join(timeout=5)
+            coord.close()
+            worker_conn.close()
+
+    def test_state_frame_pipelined_behind_auth_ok(self):
+        """The coordinator writes auth-ok and a >64 KiB state frame in
+        one sendall: the worker's handshake must succeed and hand the
+        state frame back on the next recv."""
+        left, right = socket.socketpair()
+        worker_conn = wire.Connection(right, allow_pickle=False)
+        coord = wire.Connection(left)
+        token = "s3cret"
+        challenge = wire.new_nonce()
+        blob = bytes(4 * wire.HANDSHAKE_MAX_FRAME_BYTES)
+
+        def scripted_coordinator():
+            coord.send_json(
+                wire.MSG_AUTH_CHALLENGE,
+                {"versions": list(wire.SUPPORTED_WIRE_VERSIONS),
+                 "nonce": challenge},
+            )
+            _kind, payload = coord.recv()
+            mac = wire.compute_mac(token, "coordinator", payload["nonce"], challenge)
+            auth_ok = {"version": wire.WIRE_VERSION, "mac": mac}
+            left.sendall(
+                wire.encode_json_frame(wire.MSG_AUTH_OK, auth_ok)
+                + wire.encode_frame(wire.MSG_STATE, {"digest": "d", "blob": blob})
+            )
+
+        thread = threading.Thread(target=scripted_coordinator, daemon=True)
+        thread.start()
+        try:
+            worker_handshake(worker_conn, token, "w-1", timeout=10.0)
+            state = {"digest": "d", "blob": blob}
+            assert worker_conn.recv(timeout=10.0) == (wire.MSG_STATE, state)
         finally:
             thread.join(timeout=5)
             coord.close()
@@ -407,6 +471,81 @@ class TestClusterExecution:
             assert backend.stats["worker_failures"] == 0
         finally:
             backend.shutdown()
+
+    def test_state_coalesced_with_auth_ok_costs_no_reconnect(
+        self, monkeypatch
+    ):
+        """Force the race every cluster sweep used to lose: the
+        coordinator's auth-ok goes out in the same sendall as the
+        (>64 KiB) shared-state frame behind it.  The worker must keep its
+        first connection."""
+        held: "dict[int, bytes]" = {}
+        send_json = _WorkerHandle.send_json
+
+        def hold_auth_ok(self, kind, payload):
+            if kind == wire.MSG_AUTH_OK:
+                held[self.id] = wire.encode_json_frame(kind, payload)
+            else:
+                send_json(self, kind, payload)
+
+        def send_with_held(self, kind, payload):
+            frame = wire.encode_frame(kind, payload)
+            self.sock.sendall(held.pop(self.id, b"") + frame)
+
+        monkeypatch.setattr(_WorkerHandle, "send_json", hold_auth_ok)
+        monkeypatch.setattr(_WorkerHandle, "send", send_with_held)
+        graph = complete_graph(128)
+        runner = MonteCarloRunner(
+            graph, VanillaGossip, [float(i) for i in range(128)], seed=3
+        )
+        slim = runner.build_specs(4, shared_key="k", max_events=200)
+        state = {"k": runner.shared_state()}
+        _digest, blob = pickle_shared_state(state)
+        assert len(blob) > wire.HANDSHAKE_MAX_FRAME_BYTES
+        reference = SerialBackend().execute_shared(slim, state)
+        backend = ClusterBackend(1)
+        try:
+            shipped = backend.execute_shared(slim, state)
+            for a, b in zip(reference, shipped):
+                assert results_identical(a, b)
+            assert backend.stats["worker_failures"] == 0
+            assert backend.stats["reconnects"] == 0
+            assert backend.stats["state_installs"] == 1
+        finally:
+            backend.shutdown()
+
+    def test_frame_pipelined_behind_auth_response_is_read_at_once(self):
+        """A worker writes its auth response and another frame in one
+        sendall: the coordinator verifies the handshake, then decodes the
+        frame behind it from the same read instead of leaving it buffered
+        until that worker sends more bytes."""
+        backend = ClusterBackend(1)
+        coord_sock, worker_sock = socket.socketpair()
+        handle = _WorkerHandle(coord_sock)
+        backend._workers[handle.id] = handle
+        nonce = wire.new_nonce()
+        auth = {
+            "version": wire.WIRE_VERSION,
+            "nonce": nonce,
+            "worker_id": "w-1",
+            "mac": wire.compute_mac(
+                backend.auth_token, "worker", handle.challenge, nonce, "w-1"
+            ),
+        }
+        try:
+            worker_sock.sendall(
+                wire.encode_json_frame(wire.MSG_AUTH_RESPONSE, auth)
+                + wire.encode_frame(wire.MSG_RESULT, {"task_id": -1, "result": None})
+            )
+            backend._read_worker(handle, deque(), {}, {}, {})
+            assert handle.ready
+            assert handle.decoder.pending_bytes == 0
+            # The stale result was decoded (and dropped as unknown).
+            assert backend.stats["duplicates_dropped"] == 1
+        finally:
+            backend.shutdown()
+            coord_sock.close()
+            worker_sock.close()
 
     def test_deterministic_replicate_error_propagates(self):
         """A replicate that raises is deterministic: the batch must fail

@@ -62,9 +62,11 @@ from repro.engine.kernels.eligibility import (
     resolve_update,
     run_kwargs_reasons,
 )
+from repro.engine.kernels.vectorized import MeanUpdate, _steps_for
 from repro.engine.recorder import TraceRecorder
 from repro.engine.results import results_identical
 from repro.engine.runner import MonteCarloRunner
+from repro.engine.simulator import DEFAULT_RECOMPUTE_EVERY
 from repro.engine.sweeps import (
     PointConfig,
     ReplicateBudget,
@@ -197,14 +199,14 @@ class TestEligibility:
             pass
 
         assert resolve_update(ThirdPartyGossip()) is None
-        sentinel = object()
+        update = MeanUpdate()
         try:
 
             @register_update(ThirdPartyGossip)
             def _build(algorithm):
-                return sentinel
+                return update
 
-            assert resolve_update(ThirdPartyGossip()) is sentinel
+            assert resolve_update(ThirdPartyGossip()) is update
             assert eligibility(
                 algorithm_factory=ThirdPartyGossip,
                 clock_factory=None,
@@ -216,19 +218,52 @@ class TestEligibility:
             _UPDATE_BUILDERS.pop(ThirdPartyGossip, None)
         assert resolve_update(ThirdPartyGossip()) is None
 
+    def test_registered_builder_returning_a_foreign_update_runs_scalar(self, k6):
+        """The loop only runs its own update rules: a builder returning
+        anything else gets an algorithm-unsupported verdict, and the
+        dispatcher demotes the group instead of failing the batch."""
+
+        class ForeignUpdateGossip(VanillaGossip):
+            pass
+
+        try:
+
+            @register_update(ForeignUpdateGossip)
+            def _build(algorithm):
+                return object()
+
+            verdict = eligibility(
+                algorithm_factory=ForeignUpdateGossip,
+                clock_factory=None,
+                run_kwargs={},
+            )
+            assert not verdict
+            assert verdict.codes == (ALGORITHM_UNSUPPORTED,)
+            assert "not a rule the lockstep loop implements" in verdict.describe()
+            workload = GaussianWorkload(6)
+            specs = runner_for(
+                k6, ForeignUpdateGossip, workload, kernel="auto"
+            ).build_specs(AUTO_MIN_BATCH, max_events=500)
+            assert not VectorizedBatchKernel().supports(specs[0])
+            with pytest.raises(SimulationError, match="no lockstep update"):
+                VectorizedBatchKernel().execute(specs)
+            stats = new_kernel_stats()
+            results = execute_specs(specs, stats=stats)
+            assert stats["scalar_replicates"] == AUTO_MIN_BATCH
+            assert stats["vectorized_replicates"] == 0
+            assert stats[f"demoted:{ALGORITHM_UNSUPPORTED}"] == AUTO_MIN_BATCH
+            reference = runner_for(
+                k6, ForeignUpdateGossip, workload, kernel="scalar"
+            ).run(AUTO_MIN_BATCH, max_events=500)
+            assert identical_lists(results, reference)
+        finally:
+            from repro.engine.kernels.eligibility import _UPDATE_BUILDERS
+
+            _UPDATE_BUILDERS.pop(ForeignUpdateGossip, None)
+
     def test_register_update_rejects_non_types(self):
         with pytest.raises(TypeError, match="algorithm type"):
             register_update(VanillaGossip())
-
-    def test_deprecated_helpers_warn_and_delegate(self):
-        from repro.engine.kernels import vectorized
-
-        with pytest.warns(DeprecationWarning, match="resolve_update"):
-            assert vectorized.resolve_update(VanillaGossip()) is not None
-        with pytest.warns(DeprecationWarning, match="eligible_clock_factory"):
-            assert vectorized.eligible_clock_factory(None)
-        with pytest.warns(DeprecationWarning, match="eligible_run_kwargs"):
-            assert not vectorized.eligible_run_kwargs({"unknown": 1})
 
     def test_supports_composes_the_rules(self, k6):
         kernel = VectorizedBatchKernel()
@@ -367,7 +402,7 @@ class TestBitIdentity:
 
 
 class TestNonConvexLockstep:
-    """Algorithm A through the generalized lockstep loop, field-for-field
+    """Algorithm A through the lockstep loop, field-for-field
     identical to the scalar oracle across every semantic variant."""
 
     def cmp(self, graph, factory, clock=None, n=10, **kwargs):
@@ -466,8 +501,8 @@ class TestNonConvexLockstep:
         assert any(r.stopped_by == "clock_exhausted" for r in results)
 
     def test_lossy_convex_families(self, k6):
-        """The wrapped clocks also lift the dense-family algorithms into
-        the generalized loop — same bit-identity contract."""
+        """The wrapped clocks under the convex family — same
+        bit-identity contract."""
         lossy = LossyPoissonClockFactory(k6.n_edges, 0.25)
         self.cmp(
             k6,
@@ -493,6 +528,125 @@ class TestNonConvexLockstep:
             dumbbell_nonconvex_factory(small_dumbbell, epoch_length=4),
             max_events=3_000,
         )
+        assert all(r.n_updates < r.n_events for r in results)
+
+
+class TestRecordThenScan:
+    """The record-then-scan loop's own mechanics, each pinned against the
+    scalar oracle: rollback of data-dependent stops inside a sub-batch,
+    rows stopping at different steps then compacting out, sub-batches
+    ending on the exact-recompute boundary, and staged no-op redirects
+    combined with a clock's dropped ticks."""
+
+    cmp = TestNonConvexLockstep.cmp
+
+    def test_target_stops_roll_back_mid_sub_batch(self, small_dumbbell):
+        graph = small_dumbbell.graph
+        results = self.cmp(
+            graph,
+            VanillaGossip,
+            n=24,
+            max_events=50_000,
+            target_ratio=1e-3,
+            thresholds=THRESHOLDS,
+        )
+        steps = _steps_for(24)
+        assert all(r.stopped_by == "target_ratio" for r in results)
+        # Rows stop at different steps, inside the first sub-batch.
+        assert len({r.n_events for r in results}) > 1
+        assert all(r.n_events < steps for r in results)
+
+    def test_divergence_rolls_back_mid_sub_batch(self, small_dumbbell):
+        """An explicit gain far above the exact one overshoots on the
+        first swap: the divergence guard fires on a swap step."""
+        results = self.cmp(
+            small_dumbbell.graph,
+            dumbbell_nonconvex_factory(small_dumbbell, gain=40.0),
+            n=16,
+            max_events=20_000,
+            divergence_ratio=2.0,
+            thresholds=THRESHOLDS,
+        )
+        assert all(r.stopped_by == "diverged" for r in results)
+        assert len({r.n_events for r in results}) > 1
+
+    def test_mixed_stop_causes_compact_across_sub_batches(self, small_dumbbell):
+        """Time stops (staged) and target stops (scanned) in one group,
+        spread over several sub-batches of a narrowing group."""
+        results = self.cmp(
+            small_dumbbell.graph,
+            VanillaGossip,
+            n=40,
+            max_events=200_000,
+            max_time=90.0,
+            target_ratio=1e-10,
+            thresholds=THRESHOLDS,
+        )
+        causes = {r.stopped_by for r in results}
+        assert causes == {"target_ratio", "max_time"}
+        assert max(r.n_events for r in results) > _steps_for(40)
+
+    def test_convex_crosses_the_recompute_boundary(self, k6):
+        """A slowly mixing convex update still crosses variance
+        thresholds after the first exact T/S recompute."""
+        results = self.cmp(
+            k6,
+            AlgorithmFactory(ConvexGossip, alpha=0.9995),
+            n=3,
+            max_events=70_000,
+            thresholds=(1e-9, 1e-12, 1e-15),
+        )
+        assert all(r.n_updates > DEFAULT_RECOMPUTE_EVERY for r in results)
+        assert all(r.crossings[1e-12].last_above is not None for r in results)
+
+    def test_vanilla_crosses_the_recompute_boundary(self, k6):
+        results = self.cmp(
+            k6, VanillaGossip, n=2, max_events=DEFAULT_RECOMPUTE_EVERY + 500
+        )
+        assert all(r.n_updates > DEFAULT_RECOMPUTE_EVERY for r in results)
+
+    def test_algorithm_a_crosses_the_recompute_boundary(self, small_dumbbell):
+        """Per-row update counts (silenced ticks do not count) put each
+        row's boundary on a different step."""
+        results = self.cmp(
+            small_dumbbell.graph,
+            dumbbell_nonconvex_factory(small_dumbbell),
+            n=3,
+            max_events=70_000,
+        )
+        assert all(r.n_updates > DEFAULT_RECOMPUTE_EVERY for r in results)
+        assert len({r.n_updates for r in results}) > 1
+
+    def test_silenced_first_ticks_keep_the_initial_variance(self):
+        """Before a row's first update the scalar loop still compares
+        against the ``np.var`` initial value; a threshold and a
+        divergence bound of exactly 1.0 expose any last-ulp difference
+        from the incremental formula on rows whose first ticks are
+        silenced cut edges."""
+        pair = two_expanders(12, 12, degree=4, n_bridges=6, seed=42)
+        self.cmp(
+            pair.graph,
+            dumbbell_nonconvex_factory(pair, epoch_length=5),
+            n=64,
+            max_events=300,
+            thresholds=(1.0, 0.5),
+            divergence_ratio=1.0,
+        )
+
+    def test_lossy_clock_with_staged_redirects(self, small_dumbbell):
+        """Silenced cut ticks and post-``max_time`` ticks are redirected
+        to the pad cell while the lossy clock drops ticks of its own."""
+        graph = small_dumbbell.graph
+        results = self.cmp(
+            graph,
+            dumbbell_nonconvex_factory(small_dumbbell, epoch_length=3),
+            clock=LossyPoissonClockFactory(graph.n_edges, 0.4),
+            n=20,
+            max_events=30_000,
+            max_time=25.0,
+            thresholds=THRESHOLDS,
+        )
+        assert all(r.stopped_by == "max_time" for r in results)
         assert all(r.n_updates < r.n_events for r in results)
 
 

@@ -155,6 +155,23 @@ class TestSweepSource:
         again = self._resolve(store=store, compute=False)
         assert again.to_dict() == computed.to_dict()
 
+    def test_each_resolution_looks_the_store_up_once(
+        self, tmp_path, computed, monkeypatch
+    ):
+        store = ResultsStore(tmp_path / "runs.sqlite")
+        lookups = []
+        lookup = store.lookup
+
+        def counting_lookup(fingerprint):
+            lookups.append(fingerprint)
+            return lookup(fingerprint)
+
+        monkeypatch.setattr(store, "lookup", counting_lookup)
+        assert self._resolve(store=store).to_dict() == computed.to_dict()
+        assert len(lookups) == 1  # the miss that computed
+        assert self._resolve(store=store).to_dict() == computed.to_dict()
+        assert len(lookups) == 2  # the hit
+
     def test_artifact_dir_resolves_by_fingerprint(self, tmp_path, computed):
         save_sweep_result(computed, tmp_path)
         result = self._resolve(artifact_dir=tmp_path, compute=False)
