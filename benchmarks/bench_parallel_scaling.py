@@ -37,7 +37,7 @@ from repro.engine.backends import (
 )
 from repro.engine.results import results_identical
 from repro.engine.runner import MonteCarloRunner
-from repro.experiments.specs_scaling import convex_budget, nonconvex_budget
+from repro.experiments.specs_sweeps import convex_budget, nonconvex_budget
 from repro.experiments.workloads import cut_aligned
 from repro.graphs.composites import dumbbell_graph
 

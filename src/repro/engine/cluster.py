@@ -657,7 +657,10 @@ class ClusterBackend(ExecutionBackend):
         in-flight specs reassigned.  Workers heartbeat from a background
         thread, so a straggler mid-task stays alive.
     connect_timeout:
-        Seconds to wait for the first ready worker of a batch.
+        Seconds to wait for the first ready worker of a batch.  A
+        spawned fleet also holds a batch's first dispatch until no
+        spawned worker is still starting, for at most this long, so
+        every local worker is handed its first ``window`` tasks at once.
     handshake_timeout:
         Seconds a new connection may spend unauthenticated before it is
         dropped (a stranger cannot hold a socket open indefinitely).
@@ -1178,6 +1181,7 @@ class ClusterBackend(ExecutionBackend):
         batch_start = time.monotonic()
 
         had_ready_worker = False
+        dispatching = False
         while len(results) < len(specs):
             self._maintain_fleet()
             if (
@@ -1226,11 +1230,21 @@ class ClusterBackend(ExecutionBackend):
                         id_to_index,
                         f"no heartbeat for {self.heartbeat_timeout}s",
                     )
-            self._dispatch(queue, results, id_to_index, specs, state, retries)
-            if not queue:
-                self._speculate(
-                    queue, results, id_to_index, specs, state, retries, speculated
+            if not dispatching:
+                # Wait for the whole spawned fleet: the first worker up
+                # would otherwise run nearly every task of a short batch
+                # while its peers are still starting.
+                dispatching = had_ready_worker and (
+                    not self.spawn_workers
+                    or not self._pending_procs
+                    or now - batch_start > self.connect_timeout
                 )
+            if dispatching:
+                self._dispatch(queue, results, id_to_index, specs, state, retries)
+                if not queue:
+                    self._speculate(
+                        queue, results, id_to_index, specs, state, retries, speculated
+                    )
             events = self._selector.select(timeout=0.05)
             for key, _mask in events:
                 if key.data is None:

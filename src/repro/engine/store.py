@@ -663,7 +663,6 @@ def run_sweep_cached(
     backend: "ExecutionBackend | str | None" = None,
     n_workers: "int | None" = None,
     checkpoint_path: "str | Path | None" = None,
-    share_state: bool = True,
     max_round_retries: int = 1,
     kernel: "str | None" = None,
     code_version: "str | None | object" = ...,
@@ -701,7 +700,6 @@ def run_sweep_cached(
         backend=backend,
         n_workers=n_workers,
         checkpoint_path=checkpoint_path,
-        share_state=share_state,
         max_round_retries=max_round_retries,
         kernel=kernel,
     )

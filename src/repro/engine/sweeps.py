@@ -34,15 +34,14 @@ cap, so a pathological configuration terminates instead of stalling the
 loop.
 
 **Shared-state shipping.**  All replicates of one configuration repeat
-the same immutable objects (graph, factories, workload).  By default the
-runner builds *slim* replicate specs whose heavy fields are
+the same immutable objects (graph, factories, workload).  The runner
+builds *slim* replicate specs whose heavy fields are
 :class:`~repro.engine.backends.SharedStateRef` placeholders and hands
 the whole grid's state mapping to
 :meth:`~repro.engine.backends.ExecutionBackend.execute_shared` — the
 process backend installs it once per worker via the executor
 initializer, the serial backend resolves in-process against the very
-same objects.  Transport only: the reported result is bit-identical with
-shipping on or off (``share_state=False`` restores inline pickling).
+same objects, so the reported result is bit-identical across backends.
 
 **Checkpoints.**  :meth:`SweepResult.to_dict` round-trips through JSON
 (:meth:`SweepResult.from_dict`) with non-finite samples encoded
@@ -745,14 +744,6 @@ class SweepRunner:
         Retain each settled configuration's raw :class:`RunResult` list
         (trimmed to the settled prefix) in :attr:`run_results` — the
         determinism suite compares them field-by-field.
-    share_state:
-        Ship each configuration's immutable state (graph, factories,
-        workload) through :meth:`ExecutionBackend.execute_shared` — once
-        per worker via the executor initializer on the process backend —
-        instead of pickling it into every replicate spec (default).
-        Purely a transport choice: results are bit-identical either way
-        (the determinism suite pins this), so disable it only to measure
-        the shipping itself.
     max_round_retries:
         How many times one round's batch is re-executed after a
         *retryable* backend failure (exception with a truthy
@@ -783,7 +774,6 @@ class SweepRunner:
         n_workers: "int | None" = None,
         checkpoint_path: "str | Path | None" = None,
         keep_run_results: bool = False,
-        share_state: bool = True,
         max_round_retries: int = 1,
         kernel: "str | None" = None,
     ) -> None:
@@ -800,7 +790,6 @@ class SweepRunner:
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
         self.keep_run_results = keep_run_results
-        self.share_state = share_state
         self.max_round_retries = max_round_retries
         #: Raw results per settled point index (when ``keep_run_results``).
         self.run_results: "dict[int, list[RunResult]]" = {}
@@ -1088,8 +1077,7 @@ class SweepRunner:
             self._state_key(state.point.index): state.runner.shared_state()
             for state in states
         }
-        if self.share_state:
-            self.stats["shared_state_points"] = len(shared_state)
+        self.stats["shared_state_points"] = len(shared_state)
         pending = list(states)
         while pending:
             batch = []
@@ -1108,11 +1096,7 @@ class SweepRunner:
                 specs = state.runner.build_specs(
                     want,
                     start=state.n_scheduled,
-                    shared_key=(
-                        self._state_key(state.point.index)
-                        if self.share_state
-                        else None
-                    ),
+                    shared_key=self._state_key(state.point.index),
                     **self._run_kwargs(state.config, state.monotone),
                 )
                 state.n_scheduled += want
@@ -1122,7 +1106,7 @@ class SweepRunner:
             results = execute_with_retry(
                 self.backend,
                 batch,
-                shared_state=shared_state if self.share_state else None,
+                shared_state=shared_state,
                 max_retries=self.max_round_retries,
                 on_retry=self._count_round_retry,
             )
@@ -1183,7 +1167,6 @@ def run_sweep(
     backend: "ExecutionBackend | str | None" = None,
     n_workers: "int | None" = None,
     checkpoint_path: "str | Path | None" = None,
-    share_state: bool = True,
     max_round_retries: int = 1,
     kernel: "str | None" = None,
 ) -> SweepResult:
@@ -1195,7 +1178,6 @@ def run_sweep(
         backend=backend,
         n_workers=n_workers,
         checkpoint_path=checkpoint_path,
-        share_state=share_state,
         max_round_retries=max_round_retries,
         kernel=kernel,
     ).run()

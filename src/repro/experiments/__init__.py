@@ -1,4 +1,8 @@
-"""Experiment harness: workloads, specs E1-E10, reporting, CLI."""
+"""Experiments: workloads, the E1-E14 sweep grids, reporting, CLI.
+
+The reports themselves are declared in :mod:`repro.reports`;
+:func:`run_experiment` builds one by id.
+"""
 
 from repro.experiments.workloads import (
     bimodal_noise,
@@ -8,17 +12,13 @@ from repro.experiments.workloads import (
     make_workload,
     spike,
 )
-from repro.experiments.harness import (
-    ExperimentReport,
-    ShapeCheck,
-    measure_averaging_time,
-)
-from repro.experiments.specs import EXPERIMENTS, get_experiment, run_experiment
 from repro.experiments.specs_sweeps import (
     SWEEPS,
     default_sweep_budget,
     get_sweep,
 )
+from repro.reports.model import ExperimentReport, ShapeCheck
+from repro.reports.registry import run_experiment
 
 __all__ = [
     "bimodal_noise",
@@ -29,9 +29,6 @@ __all__ = [
     "spike",
     "ExperimentReport",
     "ShapeCheck",
-    "measure_averaging_time",
-    "EXPERIMENTS",
-    "get_experiment",
     "run_experiment",
     "SWEEPS",
     "default_sweep_budget",

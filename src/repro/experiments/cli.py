@@ -19,8 +19,8 @@ bit-identical to serial for the same seed — see
 Run a whole parameter sweep through the sharded scheduler (every
 configuration x replicate work unit shares one worker pool and each
 configuration's graph ships to every worker once; results are
-bit-identical across backends, worker counts, round sizes and shipping
-modes — see :mod:`repro.engine.sweeps`)::
+bit-identical across backends, worker counts and round sizes — see
+:mod:`repro.engine.sweeps`)::
 
     python -m repro.experiments.cli sweep E3 --axis n=64,128,256 \
         --workers 4 --target-ci 0.05 --out results/
@@ -60,7 +60,6 @@ from repro.engine.store import STORE_ENV_VAR, ResultsStore, run_sweep_cached
 from repro.engine.wire import AUTH_TOKEN_ENV_VAR
 from repro.engine.sweeps import ReplicateBudget, SweepRunner
 from repro.errors import ReproError, SimulationError, StoreError
-from repro.experiments.harness import SCALES
 from repro.experiments.reporting import (
     render_summary,
     render_sweep_stats,
@@ -68,13 +67,15 @@ from repro.experiments.reporting import (
     save_report,
     save_sweep_result,
 )
-from repro.experiments.specs import EXPERIMENTS, run_experiment
 from repro.experiments.specs_sweeps import (
+    SCALES,
     SWEEPS,
     axis_override_from_text,
     get_sweep,
+    resolve_scale,
     resolve_sweep_budget,
 )
+from repro.reports.registry import REPORT_SPECS, run_experiment
 from repro.util.tables import Table
 
 
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument(
         "experiment",
-        help=f"experiment id ({', '.join(sorted(EXPERIMENTS))}) or 'all'",
+        help=f"experiment id ({', '.join(sorted(REPORT_SPECS))}) or 'all'",
     )
     run.add_argument("--scale", choices=SCALES, default=None)
     run.add_argument("--seed", type=int, default=None)
@@ -224,13 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="JSON checkpoint written after each round; an existing file "
         "resumes the sweep, skipping settled configurations",
-    )
-    sweep.add_argument(
-        "--no-shared-state",
-        action="store_true",
-        help="pickle each configuration's state into every replicate spec "
-        "instead of shipping it once per worker (measurement/debugging "
-        "only; results are bit-identical either way)",
     )
     sweep.add_argument(
         "--auth-token",
@@ -562,7 +556,6 @@ def _run_sweep_command(args) -> int:
                     backend=backend,
                     n_workers=args.workers,
                     checkpoint_path=args.checkpoint,
-                    share_state=not args.no_shared_state,
                     kernel=args.kernel,
                 )
                 result, stats = outcome.result, outcome.stats
@@ -575,7 +568,6 @@ def _run_sweep_command(args) -> int:
                     backend=backend,
                     n_workers=args.workers,
                     checkpoint_path=args.checkpoint,
-                    share_state=not args.no_shared_state,
                     kernel=args.kernel,
                 )
                 result = runner.run()
@@ -615,6 +607,78 @@ def _run_sweep_command(args) -> int:
     return 0
 
 
+def _run_experiments_command(args) -> int:
+    """``run``: render one experiment's report (or all of them).
+
+    Exits 0 when every shape check passed and 1 when one failed.
+    """
+    if args.workers is None:
+        # Surface a bad REPRO_WORKERS value before any report output
+        # instead of inside the first estimator call.
+        default_n_workers()
+    if args.kernel is None:
+        # Same early surfacing for a bad REPRO_KERNEL value.
+        default_kernel()
+
+    if args.experiment.lower() == "all":
+        ids = list(REPORT_SPECS)
+    else:
+        ids = [args.experiment]
+    # Experiments read the worker count from the environment (the same
+    # global mechanism as the REPRO_SCALE fallback), so one flag
+    # parallelizes every estimator call; restore the variable afterwards
+    # so programmatic main() calls leave no trace.
+    saved_workers = os.environ.get(WORKERS_ENV_VAR)
+    if args.workers is not None:
+        os.environ[WORKERS_ENV_VAR] = str(args.workers)
+    saved_kernel = os.environ.get(KERNEL_ENV_VAR)
+    if args.kernel is not None:
+        os.environ[KERNEL_ENV_VAR] = args.kernel
+    try:
+        # Leave no trace in long-lived hosts: pools this run creates are
+        # released on exit, pools the host already had warm are kept.
+        run_store = (
+            ResultsStore(_store_db_path(args.store))
+            if (args.store or os.environ.get(STORE_ENV_VAR))
+            else None
+        )
+        source = None
+        if run_store is not None:
+            from repro.reports.data import SweepSource
+
+            source = SweepSource(
+                store=run_store, n_workers=args.workers, kernel=args.kernel
+            )
+        with scoped_shared_backends():
+            reports = []
+            for experiment_id in ids:
+                report = run_experiment(
+                    experiment_id,
+                    scale=args.scale,
+                    seed=args.seed,
+                    source=source,
+                )
+                reports.append(report)
+                print(report.render())
+                print()
+                if args.out:
+                    text_path, json_path = save_report(report, args.out)
+                    print(f"saved {text_path} and {json_path}")
+            print(render_summary(reports))
+            return 0 if all(r.all_checks_passed for r in reports) else 1
+    finally:
+        if args.workers is not None:
+            if saved_workers is None:
+                os.environ.pop(WORKERS_ENV_VAR, None)
+            else:
+                os.environ[WORKERS_ENV_VAR] = saved_workers
+        if args.kernel is not None:
+            if saved_kernel is None:
+                os.environ.pop(KERNEL_ENV_VAR, None)
+            else:
+                os.environ[KERNEL_ENV_VAR] = saved_kernel
+
+
 def _run_verify_claims_command(args) -> int:
     """``verify-claims``: the data-driven drift gate.
 
@@ -626,7 +690,6 @@ def _run_verify_claims_command(args) -> int:
     """
     from pathlib import Path
 
-    from repro.experiments.harness import resolve_scale
     from repro.reports import (
         claims_bundle,
         evaluate_claims,
@@ -876,135 +939,34 @@ def main(argv: "list[str] | None" = None) -> int:
     """CLI main; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for experiment_id, function in EXPERIMENTS.items():
-            doc = (function.__doc__ or "").strip().splitlines()
-            summary = doc[0] if doc else ""
+        for experiment_id, spec in REPORT_SPECS.items():
             sweepable = " [sweepable]" if experiment_id in SWEEPS else ""
-            print(f"{experiment_id}: {summary}{sweepable}")
+            print(f"{experiment_id}: {spec.summary}{sweepable}")
         return 0
 
-    if args.command == "worker":
-        try:
-            return _run_worker_command(args)
-        except ReproError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-
-    if args.command == "store":
-        # Dispatched before the --workers guard: the store namespace has
-        # no workers attribute (pure metadata command, nothing computes).
-        try:
-            return _run_store_command(args)
-        except ReproError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-
-    if args.command == "kernel":
-        # Also dispatched before the --workers guard: pure inspection,
-        # nothing computes and the namespace has no workers attribute.
-        try:
-            return _run_kernel_command(args)
-        except ReproError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-
-    if args.workers is not None and args.workers < 1:
-        print(f"--workers must be positive, got {args.workers}", file=sys.stderr)
+    # Namespaces without a --workers option (worker, store, kernel) skip
+    # the guard.
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        print(f"--workers must be positive, got {workers}", file=sys.stderr)
         return 2
 
-    if args.command == "serve":
-        try:
-            return _run_serve_command(args)
-        except ReproError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-
-    if args.command == "verify-claims":
-        try:
-            return _run_verify_claims_command(args)
-        except ReproError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-
-    if args.command == "sweep":
-        try:
-            return _run_sweep_command(args)
-        except ReproError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    if args.workers is None:
-        # Surface a bad REPRO_WORKERS value before any report output
-        # instead of as a traceback inside the first estimator call.
-        try:
-            default_n_workers()
-        except SimulationError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    if args.kernel is None:
-        # Same early surfacing for a bad REPRO_KERNEL value.
-        try:
-            default_kernel()
-        except SimulationError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-
-    if args.experiment.lower() == "all":
-        ids = list(EXPERIMENTS)
-    else:
-        ids = [args.experiment]
-    # Experiments read the worker count from the environment (the same
-    # global mechanism as the REPRO_SCALE fallback), so one flag
-    # parallelizes every estimator call; restore the variable afterwards
-    # so programmatic main() calls leave no trace.
-    saved_workers = os.environ.get(WORKERS_ENV_VAR)
-    if args.workers is not None:
-        os.environ[WORKERS_ENV_VAR] = str(args.workers)
-    saved_kernel = os.environ.get(KERNEL_ENV_VAR)
-    if args.kernel is not None:
-        os.environ[KERNEL_ENV_VAR] = args.kernel
+    handlers = {
+        "run": _run_experiments_command,
+        "sweep": _run_sweep_command,
+        "verify-claims": _run_verify_claims_command,
+        "serve": _run_serve_command,
+        "worker": _run_worker_command,
+        "store": _run_store_command,
+        "kernel": _run_kernel_command,
+    }
     try:
-        # Leave no trace in long-lived hosts: pools this run creates are
-        # released on exit, pools the host already had warm are kept.
-        run_store = (
-            ResultsStore(_store_db_path(args.store))
-            if (args.store or os.environ.get(STORE_ENV_VAR))
-            else None
-        )
-        source = None
-        if run_store is not None:
-            from repro.reports.data import SweepSource
-
-            source = SweepSource(
-                store=run_store, n_workers=args.workers, kernel=args.kernel
-            )
-        with scoped_shared_backends():
-            reports = []
-            for experiment_id in ids:
-                report = run_experiment(
-                    experiment_id,
-                    scale=args.scale,
-                    seed=args.seed,
-                    source=source,
-                )
-                reports.append(report)
-                print(report.render())
-                print()
-                if args.out:
-                    text_path, json_path = save_report(report, args.out)
-                    print(f"saved {text_path} and {json_path}")
-            print(render_summary(reports))
-            return 0 if all(r.all_checks_passed for r in reports) else 1
-    finally:
-        if args.workers is not None:
-            if saved_workers is None:
-                os.environ.pop(WORKERS_ENV_VAR, None)
-            else:
-                os.environ[WORKERS_ENV_VAR] = saved_workers
-        if args.kernel is not None:
-            if saved_kernel is None:
-                os.environ.pop(KERNEL_ENV_VAR, None)
-            else:
-                os.environ[KERNEL_ENV_VAR] = saved_kernel
+        return handlers[args.command](args)
+    except ReproError as exc:
+        # A usage or data error (unknown id, bad scale, missing store
+        # row): exit 2, distinct from exit 1 for a failed shape check.
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import os
 from pathlib import Path
 
 from repro.engine.sweeps import SweepResult
-from repro.experiments.harness import ExperimentReport
+from repro.reports.model import ExperimentReport
 from repro.util.serialization import to_json_file
 from repro.util.tables import Table
 
@@ -17,8 +17,7 @@ def save_report(
 ) -> "tuple[Path, Path]":
     """Write ``<id>.txt`` (rendered) and ``<id>.json`` (structured).
 
-    Returns the two paths.  The JSON artifact is what EXPERIMENTS.md's
-    paper-vs-measured entries are compiled from.
+    Returns the two paths.
     """
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)

@@ -2,14 +2,16 @@
 
 Every grid-shaped claim — convex lower bound vs size (E1), non-convex
 upper bound vs size (E2), the dumbbell headline (E3), cut width (E4),
-balance/gain ablation (E5), topology families (E9) and the
-epoch-constant ablation (E10) — is declared here once so the sweep
-scheduler (:mod:`repro.engine.sweeps`) can fan the **whole grid** out
-over one worker pool.  The per-scale grid values defined here are the
-single source of truth — the report functions in
-:mod:`repro.experiments.specs_scaling` / ``specs_baselines`` consume
-:class:`~repro.engine.sweeps.SweepResult` aggregations of these same
-grids, so the sweep path and the report path cannot drift apart.
+balance/gain ablation (E5), topology families (E9), the epoch-constant
+ablation (E10) and failure injection (E13) — is declared here once so
+the sweep scheduler (:mod:`repro.engine.sweeps`) can fan the **whole
+grid** out over one worker pool.  The per-scale grid values defined here
+are the single source of truth: the report specs in :mod:`repro.reports`
+render :class:`~repro.engine.sweeps.SweepResult` rows of these same
+grids, so the sweep path and the report path cannot drift apart.  The
+scale presets (:data:`SCALES`, :func:`resolve_scale`, :func:`pick`) and
+the run-time budgets every sweep point and measurement provider shares
+live here too.
 
 Every builder is a module-level function returning a
 :class:`~repro.engine.sweeps.PointConfig` built from picklable pieces
@@ -22,20 +24,22 @@ The kernel layer (:mod:`repro.engine.kernels`) composes with every
 sweep declared here: the convex arms (``"vanilla"``, ``"convex"``) and
 the ``"algorithm_a"`` arms (per-row epoch state machine over the
 designated edge) all take the record-then-scan lockstep loop, so every
-sweep advances whole replicate windows in numpy lockstep — with bit-identical :class:`SweepResult` output
-either way, so ``--kernel`` is purely a throughput knob.  Run
-``repro-experiments kernel explain <sweep-id>`` for per-configuration
-eligibility verdicts.
+sweep advances whole replicate windows in numpy lockstep — with
+bit-identical :class:`SweepResult` output either way, so ``--kernel`` is
+purely a throughput knob.  Run ``repro-experiments kernel explain
+<sweep-id>`` for per-configuration eligibility verdicts.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable
 
 from repro.algorithms.convex import ConvexGossip
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
 from repro.algorithms.resilient import ResilientSparseCutGossip
 from repro.algorithms.vanilla import VanillaGossip
+from repro.analysis.bounds import theorem1_lower_bound, theorem2_upper_bound
 from repro.clocks.unreliable import (
     FailingPoissonClockFactory,
     LossyPoissonClockFactory,
@@ -49,13 +53,6 @@ from repro.engine.sweeps import (
     SweepSpec,
 )
 from repro.errors import ExperimentError
-from repro.experiments.harness import resolve_scale
-from repro.experiments.specs_scaling import (
-    MAX_EVENTS,
-    _algorithm_a_factory,
-    convex_budget,
-    nonconvex_budget,
-)
 from repro.experiments.workloads import cut_aligned
 from repro.graphs.composites import (
     BridgedPair,
@@ -65,13 +62,70 @@ from repro.graphs.composites import (
     two_expanders,
     two_grids,
 )
+from repro.graphs.spectral import spectral_mixing_time
+
+# ----------------------------------------------------------------------
+# scale presets and run-time budgets
+# ----------------------------------------------------------------------
+
+#: Named experiment scales.  "smoke" keeps integration tests fast;
+#: "default" is what the benchmark suite runs; "full" is closest to the
+#: paper's asymptotic regime (minutes of wall time).
+SCALES = ("smoke", "default", "full")
+
+
+def resolve_scale(scale: "str | None") -> str:
+    """Validate a scale name, applying the REPRO_SCALE env default."""
+    if scale is None:
+        scale = os.environ.get("REPRO_SCALE", "default")
+    if scale not in SCALES:
+        raise ExperimentError(f"unknown scale {scale!r}; expected one of {SCALES}")
+    return scale
+
+
+def pick(scale: str, *, smoke, default, full):
+    """Select a per-scale parameter value."""
+    return {"smoke": smoke, "default": default, "full": full}[scale]
+
+
+#: Default events cap per replicate (a generous runaway guard).
+MAX_EVENTS = 20_000_000
+
+
+def convex_budget(pair: BridgedPair) -> float:
+    """A run-time cap safely above any convex algorithm's T_av here.
+
+    Convex T_av is within a small factor of the whole-graph spectral
+    mixing time; 10x that (plus the Theorem-1 floor) never censors a
+    healthy run, while monotone runs stop at the first crossing anyway.
+    """
+    return 10.0 * (
+        theorem1_lower_bound(pair.partition) + spectral_mixing_time(pair.graph)
+    )
+
+
+def nonconvex_budget(pair: BridgedPair, *, constant: float = 3.0) -> float:
+    """A run-time cap safely above Algorithm A's T_av here."""
+    bound = theorem2_upper_bound(pair.partition, constant=constant)
+    return 50.0 * (bound + 2.0)
+
+
+def _algorithm_a_factory(pair: BridgedPair, *, constant: float = 3.0, gain="exact"):
+    epoch = epoch_length_ticks(pair.partition, constant=constant)
+    # A picklable factory (not a closure) so replicates can fan out to
+    # worker processes.
+    factory = AlgorithmFactory(
+        NonConvexSparseCutGossip, pair.partition, epoch_length=epoch, gain=gain
+    )
+    return factory, epoch
+
 
 #: The algorithm axis shared by every ported sweep: the paper's headline
 #: comparison is always convex baseline vs Algorithm A.
 ALGORITHMS = ("vanilla", "algorithm_a")
 
-# Per-scale grid values (single source of truth; the report functions
-# read these same tables).
+# Per-scale grid values (single source of truth; the report specs read
+# these same tables).
 E1_SIZES = {
     "smoke": (24, 48),
     "default": (32, 64, 128, 256),
@@ -87,7 +141,7 @@ E5_FRACTIONS = {
     "full": (0.125, 0.25, 0.375, 0.5),
 }
 E5_TOTAL = {"smoke": 32, "default": 128, "full": 256}
-#: E5's gain axis: the documented deviation (DESIGN.md F1) vs the paper.
+#: E5's gain axis: the exact-variance swap gain vs the paper's printed one.
 E5_GAINS = ("exact", "paper")
 E10_CONSTANTS = {
     "smoke": (0.02, 3.0),
@@ -203,9 +257,9 @@ def e1_build_point(
 def e2_build_point(*, n: int, degree: int, seed: int) -> PointConfig:
     """E2 envelope point: Algorithm A on a single-bridge pair of size ``n``.
 
-    E2 keeps its own graph seed (11, vs E1's 7 — the legacy report
-    functions' seeds), so the two experiments measure independently
-    drawn expander pairs of the same shape, not one shared instance.
+    E2 keeps its own graph seed (11, vs E1's 7 — the reports' default
+    seeds), so the two experiments measure independently drawn expander
+    pairs of the same shape, not one shared instance.
     """
     pair = build_size_pair(n, degree=degree, seed=seed)
     factory, _ = _algorithm_a_factory(pair)
@@ -562,25 +616,20 @@ def get_sweep(sweep_id: str, *, scale: "str | None" = None,
     return SWEEPS[key](**kwargs)
 
 
-#: Per-scale replicate counts the report path has always used.
+#: Per-scale replicate counts of every report (sweeps and providers).
 REPORT_REPLICATES = {"smoke": 3, "default": 6, "full": 10}
 
 
 def report_budget(scale: "str | None" = None) -> ReplicateBudget:
-    """Fixed budget matching the legacy report replicate counts.
-
-    The rewritten report functions (E1/E2/E5/E10) run their grids through
-    the sweep scheduler under this budget, so a report costs exactly what
-    the one-configuration-at-a-time path used to cost.
-    """
+    """Fixed budget the reports resolve their sweeps under."""
     return ReplicateBudget.fixed(REPORT_REPLICATES[resolve_scale(scale)])
 
 
 def default_sweep_budget(scale: "str | None" = None) -> ReplicateBudget:
     """Scale-matched adaptive budget.
 
-    The floor matches the legacy fixed replicate count of each scale, so
-    a sweep is never *less* certain than the report path; the cap gives
+    The floor matches the report replicate count of each scale, so a
+    sweep is never *less* certain than the report path; the cap gives
     the adaptive rule room to tighten noisy grid points.
     """
     scale = resolve_scale(scale)

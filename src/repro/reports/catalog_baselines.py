@@ -1,7 +1,8 @@
 """E8-E10 report specs: baselines, topology families, epoch constant.
 
-E8 reads the measurement provider in
-:mod:`repro.experiments.specs_baselines`; E9 and E10 read stored
+E8's zoo of algorithm factories does not fit a grid axis, so it reads
+the plain-data payload of its measurement provider,
+:func:`e8_measurements`; E9 and E10 read stored
 :class:`~repro.engine.sweeps.SweepResult` rows, reconstructing instance
 bookkeeping (regime indicators, epoch lengths, spectral times) from the
 params stored with each point.
@@ -9,9 +10,33 @@ params stored with each point.
 
 from __future__ import annotations
 
-from repro.analysis.bounds import theorem2_upper_bound
+import math
+
+from repro.algorithms.convex import ConvexGossip, RandomConvexGossip
+from repro.algorithms.push_sum import PushSumGossip
+from repro.algorithms.second_order import (
+    AsyncSecondOrderGossip,
+    SecondOrderDiffusionSync,
+)
+from repro.algorithms.two_timescale import TwoTimescaleGossip
+from repro.algorithms.vanilla import VanillaGossip
+from repro.analysis.bounds import theorem1_lower_bound, theorem2_upper_bound
 from repro.core.epochs import epoch_length_ticks
-from repro.experiments.specs_baselines import e8_measurements
+from repro.engine.averaging_time import estimate_averaging_time
+from repro.engine.backends import AlgorithmFactory
+from repro.experiments.specs_sweeps import (
+    MAX_EVENTS,
+    REPORT_REPLICATES,
+    _algorithm_a_factory,
+    build_epoch_grid_pair,
+    build_family_pair,
+    convex_budget,
+    nonconvex_budget,
+    pick,
+    resolve_scale,
+)
+from repro.experiments.workloads import cut_aligned
+from repro.graphs.composites import dumbbell_graph
 from repro.graphs.spectral import spectral_mixing_time
 from repro.reports.model import ReportContext, ReportSpec
 from repro.util.tables import Table
@@ -20,6 +45,112 @@ from repro.util.tables import Table
 # ----------------------------------------------------------------------
 # E8 — baseline comparison on the dumbbell
 # ----------------------------------------------------------------------
+
+#: Rounds cap for the synchronous second-order baseline.
+E8_SYNC_MAX_ROUNDS = 50_000
+
+
+def e8_measurements(scale: "str | None" = None, seed: int = 31) -> dict:
+    """Measure every implemented averaging scheme on one dumbbell.
+
+    Returns one row per arm (label, algorithm class, T_av, censored) in
+    table order: the class-C members (vanilla, lazy, random-alpha), the
+    related-work schemes the paper cites (two-time-scale [1,4];
+    second-order diffusion [5], both synchronous-faithful and
+    async-adapted), push-sum (outside class C but still cut-limited),
+    the synchronous second-order baseline in rounds, and Algorithm A.
+    One synchronous round counts as one time unit (every edge ticks once
+    per unit time in expectation).
+    """
+    scale = resolve_scale(scale)
+    n = pick(scale, smoke=48, default=64, full=128)
+    replicates = REPORT_REPLICATES[scale]
+
+    pair = dumbbell_graph(n)
+    x0 = cut_aligned(pair.partition)
+    budget = convex_budget(pair)
+    bound = theorem1_lower_bound(pair.partition)
+
+    factories = [
+        ("vanilla", "convex C", VanillaGossip),
+        ("lazy convex (a=0.75)", "convex C", AlgorithmFactory(ConvexGossip, 0.75)),
+        ("random convex", "convex C", RandomConvexGossip),
+        (
+            "two-timescale (const)",
+            "convex C",
+            AlgorithmFactory(TwoTimescaleGossip, pair.partition, slow_step=0.1),
+        ),
+        (
+            "two-timescale (harmonic)",
+            "convex C",
+            AlgorithmFactory(
+                TwoTimescaleGossip,
+                pair.partition,
+                slow_step=0.5,
+                schedule="harmonic",
+                tau=20.0,
+            ),
+        ),
+        ("push-sum", "non-C, convex mass", PushSumGossip),
+        (
+            "async 2nd-order (b=1.5)",
+            "non-C, momentum",
+            AlgorithmFactory(AsyncSecondOrderGossip, 1.5),
+        ),
+    ]
+    rows = []
+    for index, (label, klass, factory) in enumerate(factories):
+        estimate = estimate_averaging_time(
+            pair.graph,
+            factory,
+            x0,
+            n_replicates=replicates,
+            seed=seed + 10 * index,
+            max_time=budget,
+            max_events=MAX_EVENTS,
+        )
+        rows.append(
+            {
+                "label": label,
+                "klass": klass,
+                "tav": estimate.estimate,
+                "censored": estimate.is_censored,
+            }
+        )
+
+    # Synchronous second-order diffusion: rounds ~ time units.
+    sync = SecondOrderDiffusionSync(pair.graph)
+    rounds = sync.rounds_to_ratio(
+        x0, target_ratio=math.e**-2, max_rounds=E8_SYNC_MAX_ROUNDS
+    )
+    rows.append(
+        {
+            "label": "sync 2nd-order [5]",
+            "klass": "non-C, momentum",
+            "tav": float(rounds),
+            "censored": rounds >= E8_SYNC_MAX_ROUNDS,
+        }
+    )
+
+    factory_a, _ = _algorithm_a_factory(pair)
+    est_a = estimate_averaging_time(
+        pair.graph,
+        factory_a,
+        x0,
+        n_replicates=replicates,
+        seed=seed + 999,
+        max_time=nonconvex_budget(pair),
+        max_events=MAX_EVENTS,
+    )
+    rows.append(
+        {
+            "label": "algorithm A",
+            "klass": "non-convex cut swap",
+            "tav": est_a.estimate,
+            "censored": est_a.is_censored,
+        }
+    )
+    return {"n": n, "bound": bound, "rows": rows}
 
 
 def _e8_table(ctx: ReportContext) -> Table:
@@ -127,8 +258,6 @@ _E9_LABELS = {
 
 def _e9_series(ctx: ReportContext) -> "list[dict]":
     def compute():
-        from repro.experiments.specs_sweeps import build_family_pair
-
         result = ctx.sweep("E9")
         rows = []
         for family in result.axes["family"]:
@@ -221,8 +350,6 @@ E9 = ReportSpec(
 
 def _e10_series(ctx: ReportContext) -> dict:
     def compute():
-        from repro.experiments.specs_sweeps import build_epoch_grid_pair
-
         result = ctx.sweep("E10")
         params = result.points[0].params
         pair = build_epoch_grid_pair(

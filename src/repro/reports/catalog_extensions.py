@@ -1,7 +1,11 @@
 """E11-E14 report specs: extensions beyond the paper's theorems.
 
-E11/E12/E14 read the measurement providers in
-:mod:`repro.experiments.specs_extensions`; E13 (failure injection) is
+E11 reproduces the motivation of the paper's reference [6] (geographic
+gossip); E12 evaluates the multi-cut generalization; E14 asks the
+systems question Theorem 1 implies — is a faster cut *clock*
+(bandwidth) a substitute for the non-convex *algorithm*?  Their
+measurement providers (:func:`e11_measurements`, :func:`e12_measurements`,
+:func:`e14_measurements`) return plain data; E13 (failure injection) is
 sweep-backed and reads stored :class:`~repro.engine.sweeps.SweepResult`
 rows for its five clock/algorithm configurations.
 """
@@ -10,11 +14,28 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments.specs_extensions import (
-    e11_measurements,
-    e12_measurements,
-    e14_measurements,
+import numpy as np
+
+from repro.algorithms.geographic import GeographicGossip
+from repro.algorithms.vanilla import VanillaGossip
+from repro.clocks.poisson import PoissonClockFactory
+from repro.core.multi_cut import MultiClusterAveraging
+from repro.engine.averaging_time import estimate_averaging_time
+from repro.engine.simulator import simulate
+from repro.experiments.specs_sweeps import (
+    E13_DEATH_TIME,
+    MAX_EVENTS,
+    REPORT_REPLICATES,
+    _algorithm_a_factory,
+    convex_budget,
+    nonconvex_budget,
+    pick,
+    resolve_scale,
 )
+from repro.experiments.workloads import cut_aligned
+from repro.graphs.clustering import chain_of_cliques, spectral_clusters
+from repro.graphs.composites import two_cliques
+from repro.graphs.geometric import random_geometric_network
 from repro.reports.model import ReportContext, ReportSpec
 from repro.util.mathx import fit_power_law
 from repro.util.tables import Table
@@ -23,6 +44,67 @@ from repro.util.tables import Table
 # ----------------------------------------------------------------------
 # E11 — geographic gossip on geometric random graphs (reference [6])
 # ----------------------------------------------------------------------
+
+#: Variance target the E11 message counts are measured to.
+E11_TARGET_RATIO = 1e-2
+
+
+def e11_measurements(scale: "str | None" = None, seed: int = 43) -> dict:
+    """Messages-to-accuracy: geographic rendezvous vs local gossip.
+
+    [6]'s motivation: on random geometric graphs, local gossip needs
+    ``~n^2`` pairwise updates to average (diffusion), while routing to
+    random remote partners needs ``~n^{1.5}`` messages.  Measures total
+    messages to a fixed variance target from the *smooth* worst-case
+    field (value = x-coordinate, the slow diffusion mode).
+    """
+    scale = resolve_scale(scale)
+    sizes = pick(
+        scale, smoke=[64, 100], default=[100, 256, 484], full=[100, 256, 484, 900]
+    )
+    replicates = pick(scale, smoke=2, default=3, full=5)
+
+    rows = []
+    for index, n in enumerate(sizes):
+        radius = 1.3 * math.sqrt(math.log(n) / n)
+        network = random_geometric_network(n, radius=radius, seed=seed + index)
+        field = network.positions[:, 0].copy()
+        field -= field.mean()
+        v_msgs, g_msgs, v_time, g_time = [], [], [], []
+        for rep in range(replicates):
+            run_seed = seed + 100 * index + rep
+            vanilla_run = simulate(
+                network.graph,
+                VanillaGossip(),
+                field,
+                seed=run_seed,
+                target_ratio=E11_TARGET_RATIO,
+                max_events=MAX_EVENTS,
+            )
+            geographic = GeographicGossip(network, initiation_probability=1.0)
+            geo_run = simulate(
+                network.graph,
+                geographic,
+                field,
+                seed=run_seed,
+                target_ratio=E11_TARGET_RATIO,
+                max_events=MAX_EVENTS,
+            )
+            v_msgs.append(vanilla_run.n_updates)
+            g_msgs.append(geographic.message_count)
+            v_time.append(vanilla_run.duration)
+            g_time.append(geo_run.duration)
+        rows.append(
+            {
+                "n": n,
+                "avg_degree": 2 * network.graph.n_edges / n,
+                "vanilla_messages": float(np.mean(v_msgs)),
+                "geo_messages": float(np.mean(g_msgs)),
+                "vanilla_time": float(np.mean(v_time)),
+                "geo_time": float(np.mean(g_time)),
+            }
+        )
+    return {"sizes": sizes, "target_ratio": E11_TARGET_RATIO, "rows": rows}
 
 
 def _e11_table(ctx: ReportContext) -> Table:
@@ -107,6 +189,68 @@ E11 = ReportSpec(
 # ----------------------------------------------------------------------
 # E12 — multi-cut generalization on chains of cliques
 # ----------------------------------------------------------------------
+
+
+def e12_measurements(scale: "str | None" = None, seed: int = 47) -> dict:
+    """k sparse cuts at once: the multi-cluster extension of Algorithm A."""
+    scale = resolve_scale(scale)
+    clique_sizes = pick(
+        scale, smoke=[8, 16], default=[16, 32, 64], full=[16, 32, 64, 128]
+    )
+    k = pick(scale, smoke=3, default=4, full=4)
+    replicates = REPORT_REPLICATES[scale]
+
+    rows = []
+    detection_ok = True
+    for index, clique_size in enumerate(clique_sizes):
+        graph, clusters = chain_of_cliques(clique_size, k)
+        # Cross-check the detector on the planted structure (cheap sizes).
+        if graph.n_vertices <= 128:
+            detected = spectral_clusters(graph, k)
+            sizes_match = sorted(detected.cluster_size(c) for c in range(k)) == sorted(
+                clusters.cluster_size(c) for c in range(k)
+            )
+            detection_ok = detection_ok and sizes_match
+        # Adversarial field: +1 on the first half of cliques, -1 on the rest.
+        x0 = np.where(clusters.labels < k / 2.0, 1.0, -1.0)
+        x0 = x0 - x0.mean()
+        mca = MultiClusterAveraging(graph, clusters=clusters)
+        budget = 40.0 * (
+            sum(mca.cluster_vanilla_times()) * math.log(graph.n_vertices) * k * k
+            + max(mca.epoch_lengths().values()) * k * k
+        )
+        est_vanilla = estimate_averaging_time(
+            graph,
+            VanillaGossip,
+            x0,
+            n_replicates=replicates,
+            seed=seed + 100 + index,
+            max_time=budget,
+            max_events=MAX_EVENTS,
+        )
+        est_multi = estimate_averaging_time(
+            graph,
+            mca.build_algorithm,
+            x0,
+            n_replicates=replicates,
+            seed=seed + 200 + index,
+            max_time=budget,
+            max_events=MAX_EVENTS,
+        )
+        rows.append(
+            {
+                "clique_size": clique_size,
+                "n": graph.n_vertices,
+                "vanilla": est_vanilla.estimate,
+                "multi": est_multi.estimate,
+            }
+        )
+    return {
+        "clique_sizes": clique_sizes,
+        "k": k,
+        "detection_ok": detection_ok,
+        "rows": rows,
+    }
 
 
 def _e12_table(ctx: ReportContext) -> Table:
@@ -229,8 +373,6 @@ def _e13_series(ctx: ReportContext) -> dict:
 
 
 def _e13_table(ctx: ReportContext) -> Table:
-    from repro.experiments.specs_sweeps import E13_DEATH_TIME
-
     series = _e13_series(ctx)
     table = Table(
         ["configuration", "T_av", "outcome"],
@@ -321,6 +463,59 @@ E13 = ReportSpec(
 # ----------------------------------------------------------------------
 # E14 — bandwidth vs algorithm: boosting the cut edge's clock rate
 # ----------------------------------------------------------------------
+
+
+def e14_measurements(scale: "str | None" = None, seed: int = 59) -> dict:
+    """Boosted cut clock vs the non-convex swap on one clique pair.
+
+    Theorem 1 counts cut *ticks*: with the designated cut edge ticking at
+    rate ``b`` the convex bound relaxes to ``Omega(n1 / (b |E12|))``.
+    """
+    scale = resolve_scale(scale)
+    half = pick(scale, smoke=24, default=48, full=96)
+    boosts = pick(
+        scale, smoke=[1, 4, 64], default=[1, 4, 16, 64, 256], full=[1, 4, 16, 64, 256]
+    )
+    replicates = REPORT_REPLICATES[scale]
+
+    pair = two_cliques(half, half, n_bridges=1)
+    x0 = cut_aligned(pair.partition)
+    cut_edge = pair.designated_edge
+    budget = convex_budget(pair)
+
+    boosted_times = []
+    for index, boost in enumerate(boosts):
+        rates = np.ones(pair.graph.n_edges)
+        rates[cut_edge] = float(boost)
+        clock_factory = PoissonClockFactory(pair.graph.n_edges, rates=rates)
+
+        estimate = estimate_averaging_time(
+            pair.graph,
+            VanillaGossip,
+            x0,
+            n_replicates=replicates,
+            seed=seed + 10 * index,
+            max_time=budget,
+            max_events=MAX_EVENTS,
+            clock_factory=clock_factory,
+        )
+        boosted_times.append(estimate.estimate)
+    factory_a, _ = _algorithm_a_factory(pair)
+    est_a = estimate_averaging_time(
+        pair.graph,
+        factory_a,
+        x0,
+        n_replicates=replicates,
+        seed=seed + 999,
+        max_time=max(nonconvex_budget(pair), budget),
+        max_events=MAX_EVENTS,
+    )
+    return {
+        "half": half,
+        "boosts": boosts,
+        "boosted_times": boosted_times,
+        "a_tav": est_a.estimate,
+    }
 
 
 def _e14_table(ctx: ReportContext) -> Table:

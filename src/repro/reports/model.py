@@ -4,12 +4,15 @@ A :class:`ReportSpec` declares *what* one experiment's report contains —
 which sweeps feed it, which provider measures any non-grid data, and
 the table/figure/finding/check builders that assemble the rendered
 report — and :func:`build_report` is the single path that turns a spec
-into an :class:`~repro.experiments.harness.ExperimentReport`.  No
-report value is produced anywhere else: sweep-backed experiments read
-stored :class:`~repro.engine.sweeps.SweepResult` rows (resolved through
-:class:`~repro.reports.data.SweepSource` — results store, artifact
-directory, or a fresh computation), and measurement-backed experiments
-read their provider's plain-data payload.
+into an :class:`ExperimentReport`: the tables, rendered figures,
+measured scalars and *shape checks* that together reproduce one claim
+of the paper.  Shape checks encode what the paper actually predicts
+(orderings, scaling exponents, bound satisfaction), not absolute
+constants.  No report value is produced anywhere else: sweep-backed
+experiments read stored :class:`~repro.engine.sweeps.SweepResult` rows
+(resolved through :class:`~repro.reports.data.SweepSource` — results
+store, artifact directory, or a fresh computation), and
+measurement-backed experiments read their provider's plain-data payload.
 """
 
 from __future__ import annotations
@@ -19,8 +22,103 @@ from typing import Any, Callable, Mapping
 
 from repro.engine.sweeps import SweepResult
 from repro.errors import ExperimentError
-from repro.experiments.harness import ExperimentReport, resolve_scale
+from repro.experiments.specs_sweeps import resolve_scale
 from repro.util.tables import Table
+
+
+@dataclass(frozen=True)
+class ShapeCheck:
+    """One verified prediction: name, pass/fail, human-readable detail."""
+
+    name: str
+    passed: bool
+    detail: str
+
+    def to_dict(self) -> dict:
+        """Plain-dict view for serialization."""
+        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
+
+@dataclass
+class ExperimentReport:
+    """Everything one experiment produced.
+
+    Attributes
+    ----------
+    experiment_id:
+        Short id ("E1"...).
+    title:
+        One-line description.
+    paper_claim:
+        What the paper predicts, quoted/paraphrased.
+    tables:
+        Rendered :class:`Table` objects (the regenerated "tables").
+    figures:
+        Rendered ASCII figures (the regenerated "figures").
+    findings:
+        Measured scalars worth quoting (exponents, speedups, bounds).
+    checks:
+        Shape checks; ``all_checks_passed`` summarizes them.
+    """
+
+    experiment_id: str
+    title: str
+    paper_claim: str
+    tables: "list[Table]" = field(default_factory=list)
+    figures: "list[str]" = field(default_factory=list)
+    findings: dict = field(default_factory=dict)
+    checks: "list[ShapeCheck]" = field(default_factory=list)
+
+    @property
+    def all_checks_passed(self) -> bool:
+        """True when every shape check passed."""
+        return all(check.passed for check in self.checks)
+
+    def add_check(self, name: str, passed: bool, detail: str) -> None:
+        """Record one shape check."""
+        self.checks.append(ShapeCheck(name=name, passed=bool(passed), detail=detail))
+
+    def render(self) -> str:
+        """Full human-readable report."""
+        lines = [
+            f"== {self.experiment_id}: {self.title} ==",
+            f"paper claim: {self.paper_claim}",
+            "",
+        ]
+        for table in self.tables:
+            lines.append(table.render())
+            lines.append("")
+        for figure in self.figures:
+            lines.append(figure)
+            lines.append("")
+        if self.findings:
+            lines.append("findings:")
+            for key, value in self.findings.items():
+                if isinstance(value, float):
+                    lines.append(f"  {key} = {value:.4g}")
+                else:
+                    lines.append(f"  {key} = {value}")
+            lines.append("")
+        lines.append("shape checks:")
+        for check in self.checks:
+            status = "PASS" if check.passed else "FAIL"
+            lines.append(f"  [{status}] {check.name}: {check.detail}")
+        return "\n".join(lines)
+
+    def to_dict(self) -> dict:
+        """Serializable summary (tables as row lists)."""
+        return {
+            "experiment_id": self.experiment_id,
+            "title": self.title,
+            "paper_claim": self.paper_claim,
+            "findings": self.findings,
+            "checks": [check.to_dict() for check in self.checks],
+            "all_checks_passed": self.all_checks_passed,
+            "tables": [
+                {"columns": table.columns, "rows": table.to_rows()}
+                for table in self.tables
+            ],
+        }
 
 
 @dataclass

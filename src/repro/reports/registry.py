@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro.errors import ExperimentError
 from repro.reports import (
     catalog_analysis,
     catalog_baselines,
     catalog_extensions,
     catalog_scaling,
 )
-from repro.reports.model import ReportSpec
+from repro.reports.model import ExperimentReport, ReportSpec, build_report
 
-#: Every declared report, in experiment order.  The CLI's experiment
-#: registry (:mod:`repro.experiments.specs`) and the ``verify-claims``
-#: gate both read this table; there is no other report path.
+if TYPE_CHECKING:
+    from repro.reports.data import SweepSource
+
+#: Every declared report, in experiment order (E1-E10 reproduce the
+#: paper's claims; E11-E14 are the documented extensions).  The CLI's
+#: ``run`` and ``list`` commands and :func:`run_experiment` read this
+#: table; there is no other report path.
 REPORT_SPECS: "dict[str, ReportSpec]" = {
     spec.experiment_id: spec
     for spec in (
@@ -32,3 +39,20 @@ REPORT_SPECS: "dict[str, ReportSpec]" = {
         catalog_extensions.E14,
     )
 }
+
+
+def run_experiment(
+    experiment_id: str,
+    *,
+    scale: "str | None" = None,
+    seed: "int | None" = None,
+    source: "SweepSource | None" = None,
+) -> ExperimentReport:
+    """Build one experiment's report, looked up by id (case-insensitive)."""
+    spec = REPORT_SPECS.get(experiment_id.upper())
+    if spec is None:
+        raise ExperimentError(
+            f"unknown experiment {experiment_id!r}; "
+            f"available: {sorted(REPORT_SPECS)}"
+        )
+    return build_report(spec, scale=scale, seed=seed, source=source)

@@ -60,7 +60,7 @@ def _seed_store(directory) -> ResultsStore:
 
 
 def _render_report(store: ResultsStore, experiment_id: str) -> str:
-    from repro.experiments.specs import run_experiment
+    from repro.reports.registry import run_experiment
 
     report = run_experiment(
         experiment_id,

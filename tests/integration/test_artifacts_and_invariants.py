@@ -14,7 +14,7 @@ from repro.core.epochs import epoch_length_ticks
 from repro.engine.simulator import simulate
 from repro.algorithms.vanilla import VanillaGossip
 from repro.experiments.reporting import save_report
-from repro.experiments.specs import run_experiment
+from repro.reports.registry import run_experiment
 from repro.experiments.workloads import cut_aligned
 from repro.graphs.composites import two_cliques, two_expanders
 from repro.util.serialization import from_json_file

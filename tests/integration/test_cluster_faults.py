@@ -56,9 +56,13 @@ def small_spec() -> SweepSpec:
     )
 
 
-#: 3 points x 4 replicates = 12 work units in the first (only) round —
-#: enough in-flight traffic that a worker dying after 2 results always
-#: leaves specs to reassign.
+#: 3 points x 4 replicates = 12 work units in the first (only) round.
+#: A spawned fleet starts a batch only once both workers are up, so a
+#: scenario whose counters need the faulty worker to take part sets a
+#: ``window`` one deeper than the fault's result count: the worker is
+#: handed that many tasks up front, so it still holds one when the fault
+#: fires and the coordinator must recover it — however fast the healthy
+#: worker is.
 BUDGET = ReplicateBudget.fixed(4)
 
 
@@ -85,8 +89,14 @@ def run_cluster_sweep(backend) -> "tuple[str, dict]":
 class TestFaultScenarios:
     def test_worker_killed_mid_round(self, serial_reference):
         """Crash (no goodbye) after 2 results: in-flight specs must be
-        reassigned, the slot respawned, and the artifact unchanged."""
-        backend = ClusterBackend(2, worker_faults=["die-after:2", None])
+        reassigned, the slot respawned, and the artifact unchanged.
+
+        The crashed process may still be exiting when its connection
+        drops, so it is first stashed for a reconnect, pruned once it is
+        dead, and only then respawned.  The healthy worker takes 0.1 s a
+        task, so the round outlasts that exit by far and the respawn
+        always lands inside it."""
+        backend = ClusterBackend(2, worker_faults=["die-after:2", "slow:0.1"], window=3)
         payload, stats = run_cluster_sweep(backend)
         assert payload == sweep_json(serial_reference)
         assert stats["worker_failures"] >= 1
@@ -196,7 +206,7 @@ class TestElasticMembership:
     def test_graceful_drain_mid_sweep(self, serial_reference):
         """A worker draining after 3 results is a scale-down event, not
         a failure: goodbye, requeue, free replacement spawn."""
-        backend = ClusterBackend(2, worker_faults=["drain-after:3", None])
+        backend = ClusterBackend(2, worker_faults=["drain-after:3", None], window=4)
         payload, stats = run_cluster_sweep(backend)
         assert payload == sweep_json(serial_reference)
         assert stats["drains"] >= 1
@@ -210,6 +220,7 @@ class TestElasticMembership:
             2,
             worker_faults=["disconnect-after:2", "slow:0.1"],
             worker_reconnect_backoff=0.05,
+            window=3,
         )
         payload, stats = run_cluster_sweep(backend)
         assert payload == sweep_json(serial_reference)
@@ -354,7 +365,7 @@ class TestAcceptanceE3ClusterSweep:
         self, e3_artifacts, tmp_path
     ):
         spec, serial_path = e3_artifacts
-        backend = ClusterBackend(2, worker_faults=["die-after:2", None])
+        backend = ClusterBackend(2, worker_faults=["die-after:2", None], window=3)
         try:
             path = SweepRunner(
                 spec, seed=0, budget=self.BUDGET, backend=backend
@@ -369,15 +380,17 @@ class TestAcceptanceE3ClusterSweep:
     def test_cluster_artifact_cmp_identical_under_membership_churn(
         self, e3_artifacts, tmp_path
     ):
-        """The elasticity acceptance criterion: one worker joins late
+        """The elasticity acceptance criterion: one worker starts late
         and flaps once (reconnecting with backoff), the other drains
         gracefully mid-sweep and is replaced — the artifact still
         matches serial byte for byte.
 
-        A fixed budget keeps the whole sweep in one long round, so the
-        flapped worker's reconnect is guaranteed to land while the batch
-        is still in flight (the adaptive budget can settle before the
-        backoff elapses)."""
+        A fixed budget keeps the whole sweep in one long round.  The
+        round waits for both workers to start and hands each four
+        tasks up front, so both faults fire with tasks in flight.  The
+        drained worker's replacement needs a whole interpreter start-up,
+        far longer than the flapped worker's 0.05-0.15 s backoff, so the
+        reconnect lands while the round is still in flight."""
         spec, _ = e3_artifacts
         budget = ReplicateBudget.fixed(10)
         serial_path = (
@@ -392,6 +405,7 @@ class TestAcceptanceE3ClusterSweep:
                 "drain-after:3",
             ],
             worker_reconnect_backoff=0.05,
+            window=4,
         )
         try:
             path = SweepRunner(

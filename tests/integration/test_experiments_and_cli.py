@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.cli import main
-from repro.experiments.specs import EXPERIMENTS, run_experiment
+from repro.reports.registry import REPORT_SPECS, run_experiment
 
 
-@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("experiment_id", sorted(REPORT_SPECS))
 def test_experiment_smoke_passes(experiment_id):
     report = run_experiment(experiment_id, scale="smoke")
     failed = [c for c in report.checks if not c.passed]
@@ -127,16 +127,29 @@ def test_cli_sweep_rejects_bad_input(capsys):
     capsys.readouterr()
 
 
+def test_cli_run_rejects_bad_input(monkeypatch, capsys):
+    """An unknown id or scale is a usage error (exit 2), not a failed
+    shape check (exit 1) and not a traceback."""
+    assert main(["run", "E99"]) == 2
+    assert "unknown experiment 'E99'" in capsys.readouterr().err
+    monkeypatch.setenv("REPRO_SCALE", "huge")
+    assert main(["run", "E6"]) == 2
+    assert "unknown scale 'huge'" in capsys.readouterr().err
+
+
 def test_cli_reports_failure_exit_code(monkeypatch, capsys):
     """A failing check must surface as a non-zero exit code."""
-    from repro.experiments import specs
-    from repro.experiments.harness import ExperimentReport
+    from repro.reports.model import ReportSpec
 
-    def fake_experiment(scale=None, seed=0):
-        report = ExperimentReport("E1", "t", "c")
-        report.add_check("x", False, "boom")
-        return report
-
-    monkeypatch.setitem(specs.EXPERIMENTS, "E1", fake_experiment)
+    failing = ReportSpec(
+        experiment_id="E1",
+        title="t",
+        paper_claim="c",
+        summary="s",
+        default_seed=0,
+        provider=lambda scale, seed: {},
+        checks=(lambda ctx: ("x", False, "boom"),),
+    )
+    monkeypatch.setitem(REPORT_SPECS, "E1", failing)
     assert main(["run", "E1", "--scale", "smoke"]) == 1
-    capsys.readouterr()
+    assert "[FAIL] x: boom" in capsys.readouterr().out

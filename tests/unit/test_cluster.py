@@ -693,7 +693,7 @@ class TestClusterExecution:
         says goodbye and detaches — no failure, no reassignment cost,
         and its replacement spawn is free (not a respawn)."""
         serial = make_runner().run(10, max_events=200)
-        backend = ClusterBackend(2, worker_faults=["drain-after:2", None])
+        backend = ClusterBackend(2, worker_faults=["drain-after:2", None], window=3)
         try:
             results = make_runner(backend=backend).run(10, max_events=200)
             for a, b in zip(serial, results):
@@ -712,6 +712,7 @@ class TestClusterExecution:
             2,
             worker_faults=["disconnect-after:2", "slow:0.1"],
             worker_reconnect_backoff=0.05,
+            window=3,
         )
         try:
             results = make_runner(backend=backend).run(12, max_events=200)

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ExperimentError
 from repro.experiments.cli import build_parser, main
-from repro.experiments.harness import (
-    ExperimentReport,
-    ShapeCheck,
-    pick,
-    resolve_scale,
-)
 from repro.experiments.reporting import render_summary, save_report
-from repro.experiments.specs import EXPERIMENTS, get_experiment
+from repro.experiments.specs_sweeps import pick, resolve_scale
 from repro.experiments.workloads import (
     bimodal_noise,
     cut_aligned,
@@ -23,6 +23,8 @@ from repro.experiments.workloads import (
     make_workload,
     spike,
 )
+from repro.reports.model import ExperimentReport, ShapeCheck
+from repro.reports.registry import REPORT_SPECS, run_experiment
 from repro.util.tables import Table
 
 
@@ -114,14 +116,34 @@ class TestReportHarness:
         assert pick("full", smoke=1, default=2, full=3) == 3
 
 
+@pytest.mark.parametrize("module", ["repro.reports", "repro.experiments.cli"])
+def test_first_import_in_fresh_interpreter(module):
+    """``repro.experiments`` and ``repro.reports`` import each other
+    (report types and the registry one way, scale presets and sweep
+    grids the other); either side must load as the first import."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 class TestRegistryAndReporting:
     def test_registry_complete(self):
-        assert set(EXPERIMENTS) == {f"E{i}" for i in range(1, 15)}
+        assert set(REPORT_SPECS) == {f"E{i}" for i in range(1, 15)}
 
-    def test_get_experiment_case_insensitive(self):
-        assert get_experiment("e3") is EXPERIMENTS["E3"]
-        with pytest.raises(ExperimentError):
-            get_experiment("E99")
+    def test_run_experiment_case_insensitive(self):
+        lower = run_experiment("e7", scale="smoke")
+        upper = run_experiment("E7", scale="smoke")
+        assert lower.experiment_id == "E7"
+        assert lower.render() == upper.render()
+        with pytest.raises(ExperimentError, match="unknown experiment"):
+            run_experiment("E99")
 
     def test_save_report_artifacts(self, tmp_path):
         report = ExperimentReport("E0", "t", "c")

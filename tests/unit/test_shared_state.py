@@ -171,38 +171,27 @@ class TestSweepShipping:
         assert CountingWorkload.pickled == 0
 
     def test_sweep_identical_across_shipping_modes(self, backend):
-        """Every backend x both shipping modes, one matrix: the reported
-        sweep must be byte-identical to the serial reference."""
+        """Every backend ships shared state its own way (in-process
+        resolution, initializer install); the reported sweep must be
+        byte-identical to the serial reference."""
         spec = counting_spec()
         serial = SweepRunner(spec, seed=7, budget=self.BUDGET).run()
-        for share_state in (True, False):
-            swept = SweepRunner(
-                spec,
-                seed=7,
-                budget=self.BUDGET,
-                backend=backend,
-                share_state=share_state,
-            ).run()
-            assert sweep_json(swept) == sweep_json(serial), (
-                f"share_state={share_state} diverged from serial"
-            )
+        swept = SweepRunner(spec, seed=7, budget=self.BUDGET, backend=backend).run()
+        assert sweep_json(swept) == sweep_json(serial)
 
     @pytest.mark.slow
     def test_state_ships_at_most_once_per_worker(self):
         """The economy regression: a multi-round sweep stages each
         configuration's payload for shipping exactly once (one pool
-        build with one initializer blob), while inline pickling pays
-        again on every round's pool crossing (once per dispatched
-        chunk that references the payload — chunk-level pickling
-        memoizes within a chunk, so the bound is per chunk rather
-        than per replicate)."""
+        build with one initializer blob), never once per round or per
+        replicate."""
         n_workers = 2
         spec = counting_spec()
 
         CountingWorkload.pickled = 0
         backend = ProcessPoolBackend(n_workers)
         runner = SweepRunner(spec, seed=7, budget=self.BUDGET, backend=backend)
-        result = runner.run()
+        runner.run()
         backend.shutdown()
         assert runner.stats["rounds"] > 1, "need a multi-round sweep"
         assert backend.shared_installs == 1
@@ -210,26 +199,6 @@ class TestSweepShipping:
         # blob (bytes) then reaches each worker at spawn, so the
         # parent-side pickle count is bounded by the worker count.
         assert CountingWorkload.pickled <= n_workers
-        shared_pickles = CountingWorkload.pickled
-
-        CountingWorkload.pickled = 0
-        backend = ProcessPoolBackend(n_workers)
-        inline_runner = SweepRunner(
-            spec,
-            seed=7,
-            budget=self.BUDGET,
-            backend=backend,
-            share_state=False,
-        )
-        inline = inline_runner.run()
-        backend.shutdown()
-        assert sweep_json(inline) == sweep_json(result)
-        # Inline shipping re-pickles the payload on every round: each
-        # configuration's window crosses the pool again (at least one
-        # chunk per unsettled configuration per round), where shared
-        # shipping paid once per worker for the whole sweep.
-        assert CountingWorkload.pickled >= inline_runner.stats["rounds"]
-        assert shared_pickles < CountingWorkload.pickled
 
     @pytest.mark.slow
     def test_pool_reuses_workers_across_rounds_and_sweeps(self):
