@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import AnalysisError
 from repro.graphs.graph import Graph
@@ -50,6 +49,8 @@ class VanillaMeanDynamics:
         if graph.n_vertices < 2:
             raise AnalysisError("dynamics need at least two vertices")
         self.graph = graph
+        import scipy.linalg  # deferred: keeps scipy off CLI and worker start-up
+
         laplacian = laplacian_matrix(graph)
         eigenvalues, eigenvectors = scipy.linalg.eigh(laplacian)
         self._eigenvalues = eigenvalues

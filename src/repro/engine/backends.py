@@ -480,19 +480,25 @@ def _spec_affinity_key(spec: ReplicateSpec) -> tuple:
 
 
 def _dispatch_chunks(
-    specs: "Sequence[ReplicateSpec]", n_workers: int
+    specs: "Sequence[ReplicateSpec]", n_workers: int, *, fill_workers: bool = False
 ) -> "list[list[ReplicateSpec]]":
     """Split a batch into contiguous same-configuration dispatch chunks.
 
-    Chunks are the process pool's task unit *and* the vectorized
-    kernel's lockstep group, so the size cap balances two pressures:
-    wide enough to vectorize (never below
+    Chunks are the process pool's and the cluster's task unit *and* the
+    vectorized kernel's lockstep group, so the size cap balances two
+    pressures: wide enough to vectorize (never below
     :data:`~repro.engine.kernels.AUTO_MIN_BATCH`), small enough that a
-    single-configuration batch still spreads over the pool.  Sweep
+    single-configuration batch still spreads over the workers.  Sweep
     batches (many configurations x one replicate window) split on the
     configuration boundaries and keep window-level granularity.
+
+    ``fill_workers`` (the cluster's policy) further caps a chunk at
+    ``len(specs) // n_workers`` replicates, so a batch holding at least
+    one replicate per worker yields at least one chunk per worker.
     """
     cap = max(AUTO_MIN_BATCH, -(-len(specs) // (4 * n_workers)))
+    if fill_workers:
+        cap = min(cap, max(1, len(specs) // n_workers))
     chunks: "list[list[ReplicateSpec]]" = []
     current: "list[ReplicateSpec]" = []
     current_key: "tuple | None" = None

@@ -9,6 +9,17 @@ hood), attached from other machines, or both.  It speaks the same
 caller of ``execute``/``execute_shared`` (estimators, the sweep
 scheduler) gains multi-host fan-out without changing a line.
 
+**Chunks.**  The coordinator cuts a batch into same-configuration
+chunks, as wide as the process pool's (so ``auto`` vectorizes a chunk
+worker-side exactly as it does there) but capped so that no worker
+sits idle while the batch holds a replicate for it.  One TASK frame
+carries a chunk's ``(task_id, spec)`` pairs; the worker runs them as one
+kernel dispatch and streams back one RESULT frame per task id.  Task
+ids stay per replicate, so dedup, reassignment, retry budgets,
+speculation and the fault plans' result counters all keep their
+per-replicate meaning.  Chunks are handed out round-robin across ready
+workers, ``window`` chunks deep per worker.
+
 **Reproducibility under failure.**  All randomness lives inside each
 spec's :class:`~numpy.random.SeedSequence` and
 :func:`~repro.engine.backends.execute_replicate` is a pure function of
@@ -27,13 +38,15 @@ pins down.
 
 **Elastic membership.**  The fleet is a *target*, not a roster: the
 coordinator accepts attachments whenever its event loop runs, so workers
-may join mid-sweep (they are handed shards of the current batch
-immediately), drain gracefully (``--drain-after`` or SIGTERM → finish
-the in-flight spec, send :data:`~repro.engine.wire.MSG_GOODBYE`, detach
-— no crash path, no retry cost), and reconnect after a network flap
-(exponential backoff with decorrelated jitter worker-side; a grace
-window coordinator-side keeps the spawned process adopted so the
-returning worker resumes its identity and its installed shared state).
+may join mid-sweep (they are handed chunks of the current batch
+immediately), drain gracefully (``--drain-after N`` after the N-th
+result, SIGTERM after the current chunk → send
+:data:`~repro.engine.wire.MSG_GOODBYE`, detach — no crash path, no
+retry cost; the coordinator requeues every task id the worker did not
+report), and reconnect after a network flap (exponential backoff with
+decorrelated jitter worker-side; a grace window coordinator-side keeps
+the spawned process adopted so the returning worker resumes its
+identity and its installed shared state).
 Respawn budgets are fleet-size targets the coordinator converges toward.
 
 **Authentication.**  Every connection starts with a mutual HMAC-SHA256
@@ -48,15 +61,16 @@ latency: a closed socket (worker crash → immediate EOF), a heartbeat
 timeout (workers push :data:`~repro.engine.wire.MSG_HEARTBEAT` from a
 background thread, so a busy straggler stays alive while a hung or
 partitioned worker is declared dead), and a per-batch respawn budget
-that rebuilds locally spawned workers.  A dead worker's in-flight specs
-are reassigned to the front of the queue; a spec that keeps killing
-workers exhausts ``max_task_retries`` and raises a non-retryable
+that rebuilds locally spawned workers.  A dead worker's unreported
+task ids are reassigned to the front of the queue, one chunk per chunk
+it held; a spec that keeps killing workers exhausts
+``max_task_retries`` and raises a non-retryable
 :class:`~repro.errors.ClusterError`, while a transient full-fleet loss
 raises a *retryable* one that the engine's round-level retry
 (:class:`~repro.engine.sweeps.SweepRunner`) turns into one clean re-run
 of the batch.  Near the end of a batch, idle workers speculatively
-re-execute the oldest still-outstanding tasks (straggler hedging) —
-task-id dedup makes the duplicate free.
+re-execute the oldest still-outstanding chunk's unreported tasks
+(straggler hedging) — task-id dedup makes the duplicate free.
 
 **Shared-state shipping.**  ``execute_shared`` reuses the content-digest
 scheme from :mod:`repro.engine.backends`: the mapping is pickled once
@@ -98,6 +112,7 @@ from repro.engine import wire
 from repro.engine.backends import (
     ExecutionBackend,
     ReplicateSpec,
+    _dispatch_chunks,
     check_batch_picklable,
     check_no_recorder,
     pickle_shared_state,
@@ -151,8 +166,9 @@ class FaultPlan:
     duplicate_results:
         Send every result frame twice (exercises coordinator dedup).
     slow:
-        Sleep this many seconds before each task (a straggler that must
-        *not* be declared dead while its heartbeats keep flowing).
+        Sleep this many seconds before sending each result (a straggler
+        that must *not* be declared dead while its heartbeats keep
+        flowing).
     """
 
     die_after: "int | None" = None
@@ -355,6 +371,25 @@ def _send_goodbye(conn: "wire.Connection", reason: str) -> str:
     return "drained"
 
 
+def _split_counts(stats: "Mapping[str, int]", parts: int) -> "list[dict[str, int]]":
+    """Deal a chunk's kernel counters out over its ``parts`` result frames.
+
+    The first ``value % parts`` frames of each counter carry one extra,
+    so the shares sum to the chunk's counters and a per-replicate
+    counter lands exactly once per frame.  The coordinator merges only
+    the shares of results it accepts, so a chunk cut short by a fault
+    counts the replicates it delivered, not the ones it ran.
+    """
+    shares: "list[dict[str, int]]" = [{} for _ in range(parts)]
+    for key, value in stats.items():
+        base, extra = divmod(value, parts)
+        for position, share in enumerate(shares):
+            count = base + (position < extra)
+            if count:
+                share[key] = count
+    return shares
+
+
 def _worker_session(
     conn: "wire.Connection",
     plan: FaultPlan,
@@ -398,58 +433,53 @@ def _worker_session(
                 continue
             if kind != wire.MSG_TASK:
                 continue  # tolerate unknown kinds (forward compatibility)
-            task_id = payload["task_id"]
-            spec: ReplicateSpec = payload["spec"]
-            if plan.slow:
-                time.sleep(plan.slow)
+            tasks: "list[tuple[int, ReplicateSpec]]" = payload["tasks"]
             try:
-                if spec_has_refs(spec):
-                    spec = resolve_replicate_spec(spec, state.installed)
-                # Kernel dispatch at batch size 1: spec.kernel rides the
-                # wire inside the spec, so kernel="vectorized" engages
-                # the lockstep path here too (auto stays scalar below
-                # the batch-width floor); the kernel used is reported
-                # back for the coordinator's engagement counters.
+                specs = [
+                    resolve_replicate_spec(spec, state.installed)
+                    if spec_has_refs(spec)
+                    else spec
+                    for _task_id, spec in tasks
+                ]
+                # One kernel dispatch per same-configuration chunk, so
+                # auto vectorizes exactly as on the process pool.
                 kernel_stats = new_kernel_stats()
-                result = execute_specs([spec], stats=kernel_stats)[0]
+                results = execute_specs(specs, stats=kernel_stats)
             except Exception as exc:  # deterministic: report, don't die
                 conn.send(
                     wire.MSG_ERROR,
                     {
-                        "task_id": task_id,
+                        "task_id": tasks[0][0],
                         "message": f"{type(exc).__name__}: {exc}",
                     },
                 )
                 continue
-            kernel_used = (
-                "vectorized" if kernel_stats["vectorized_replicates"] else "scalar"
-            )
-            reply = {
-                "task_id": task_id,
-                "result": result,
-                "kernel": kernel_used,
-            }
-            conn.send(wire.MSG_RESULT, reply)
-            if plan.duplicate_results:
+            shares = _split_counts(kernel_stats, len(tasks))
+            for (task_id, _spec), result, share in zip(tasks, results, shares):
+                if plan.slow:
+                    time.sleep(plan.slow)
+                reply = {"task_id": task_id, "result": result, "kernel_stats": share}
                 conn.send(wire.MSG_RESULT, reply)
-            state.completed += 1
-            if plan.die_after is not None and state.completed >= plan.die_after:
-                os._exit(17)  # simulated crash: no cleanup, no goodbye
-            if plan.drop_after is not None and state.completed >= plan.drop_after:
-                conn.close()  # simulated network drop (exits cleanly)
-                return "dropped"
-            if (
-                plan.disconnect_after is not None
-                and not state.disconnect_fired
-                and state.completed >= plan.disconnect_after
-            ):
-                state.disconnect_fired = True
-                conn.close()  # simulated WAN flap: reconnect with backoff
-                return "lost"
-            if drain_after is not None and state.completed >= drain_after:
-                return _send_goodbye(
-                    conn, f"drained after {state.completed} results"
-                )
+                if plan.duplicate_results:
+                    conn.send(wire.MSG_RESULT, reply)
+                state.completed += 1
+                if plan.die_after is not None and state.completed >= plan.die_after:
+                    os._exit(17)  # simulated crash: no cleanup, no goodbye
+                if plan.drop_after is not None and state.completed >= plan.drop_after:
+                    conn.close()  # simulated network drop (exits cleanly)
+                    return "dropped"
+                if (
+                    plan.disconnect_after is not None
+                    and not state.disconnect_fired
+                    and state.completed >= plan.disconnect_after
+                ):
+                    state.disconnect_fired = True
+                    conn.close()  # simulated WAN flap: reconnect with backoff
+                    return "lost"
+                if drain_after is not None and state.completed >= drain_after:
+                    return _send_goodbye(
+                        conn, f"drained after {state.completed} results"
+                    )
     except (ClusterError, OSError) as exc:
         print(
             f"worker: connection lost ({type(exc).__name__}: {exc})",
@@ -492,8 +522,9 @@ def run_worker(
     exponential backoff (``reconnect_backoff`` seed, ``max_reconnects``
     consecutive failures allowed); the worker keeps its ``worker_id``
     across attempts so the coordinator can hand back its identity and
-    skip re-shipping shared state.  SIGTERM (or ``drain_after``) drains
-    gracefully: finish the in-flight spec, send GOODBYE, exit 0.
+    skip re-shipping shared state.  SIGTERM drains gracefully once the
+    current chunk's results are sent (``drain_after`` once that many
+    results are): send GOODBYE, exit 0.
 
     Returns a process exit code: 0 clean, 1 gave up, 2 coordinator
     unreachable, 3 authentication rejected.
@@ -601,8 +632,9 @@ class _WorkerHandle:
         self.draining = False
         self.proc: "subprocess.Popen | None" = None
         self.installed_digest: "str | None" = None
-        #: task id -> monotonic send time (feeds straggler speculation).
-        self.inflight: "dict[int, float]" = {}
+        #: task id -> (monotonic send time, chunk number): send times
+        #: feed straggler speculation, chunk numbers the window.
+        self.inflight: "dict[int, tuple[float, int]]" = {}
         self.created_at = time.monotonic()
         self.last_seen = self.created_at
         self.results_delivered = 0
@@ -611,6 +643,13 @@ class _WorkerHandle:
     def ready(self) -> bool:
         """True once the worker authenticated (tasks may be sent)."""
         return self.auth is not None
+
+    def inflight_chunks(self) -> "list[list[int]]":
+        """The outstanding task ids, grouped by chunk in send order."""
+        chunks: "dict[int, list[int]]" = {}
+        for task_id, (_sent_at, chunk) in self.inflight.items():
+            chunks.setdefault(chunk, []).append(task_id)
+        return list(chunks.values())
 
     def send(self, kind: str, payload: "Any") -> None:
         self.sock.sendall(wire.encode_frame(kind, payload))
@@ -654,13 +693,13 @@ class ClusterBackend(ExecutionBackend):
         environment, never via argv.
     heartbeat_timeout:
         Seconds of silence after which a worker is declared dead and its
-        in-flight specs reassigned.  Workers heartbeat from a background
+        unreported tasks reassigned.  Workers heartbeat from a background
         thread, so a straggler mid-task stays alive.
     connect_timeout:
         Seconds to wait for the first ready worker of a batch.  A
         spawned fleet also holds a batch's first dispatch until no
         spawned worker is still starting, for at most this long, so
-        every local worker is handed its first ``window`` tasks at once.
+        every local worker is handed its first ``window`` chunks at once.
     handshake_timeout:
         Seconds a new connection may spend unauthenticated before it is
         dropped (a stranger cannot hold a socket open indefinitely).
@@ -670,12 +709,12 @@ class ClusterBackend(ExecutionBackend):
         it and (budget permitting) respawning.
     speculation_delay:
         Once the batch queue is empty, an idle worker speculatively
-        re-executes the oldest task that has been in flight longer than
+        re-executes the oldest chunk that has been in flight longer than
         this many seconds (0 disables).  Dedup makes this free of
         double-count risk.
     window:
-        In-flight specs per worker (pipelining depth; keeps a worker's
-        next task in its socket buffer while it computes the current
+        In-flight chunks per worker (pipelining depth; keeps a worker's
+        next chunk in its socket buffer while it computes the current
         one).
     max_task_retries:
         Reassignments one spec may survive before the batch fails — a
@@ -764,6 +803,7 @@ class ClusterBackend(ExecutionBackend):
         self._respawns_left = self.max_respawns
         self._free_spawns = 0
         self._next_task_id = 0
+        self._chunk_numbers = itertools.count()
         #: Cached (mapping, digest, blob) so a sweep's stable mapping is
         #: pickled once, not once per round (identity first, then digest
         #: — the scheme shared with ProcessPoolBackend).
@@ -774,8 +814,9 @@ class ClusterBackend(ExecutionBackend):
         self.reset_stats()
         #: Kernel-engagement counters aggregated from worker result
         #: frames (see :func:`repro.engine.kernels.new_kernel_stats`).
-        #: Each cluster task is a one-spec kernel dispatch, so a
-        #: vectorized replicate counts as its own install.
+        #: Each chunk is one worker-side kernel dispatch, counted the way
+        #: the process pool counts its chunks; a result dropped as a
+        #: duplicate adds nothing.
         self.kernel_stats = new_kernel_stats()
 
     def reset_stats(self) -> None:
@@ -1071,13 +1112,13 @@ class ClusterBackend(ExecutionBackend):
     def _fail_worker(
         self,
         handle: _WorkerHandle,
-        queue: "deque[int]",
+        queue: "deque[list[int]]",
         retries: "dict[int, int]",
         results: "dict[int, RunResult]",
         id_to_index: "dict[int, int]",
         reason: str,
     ) -> None:
-        """Remove a dead worker and reassign its in-flight specs.
+        """Remove a dead worker and reassign its unreported task ids.
 
         A spawned worker whose *process* is still alive is stashed under
         its worker id for ``reconnect_grace`` seconds instead of being
@@ -1105,20 +1146,43 @@ class ClusterBackend(ExecutionBackend):
                 handle.proc.wait(timeout=0.2)
             except subprocess.TimeoutExpired:
                 pass
-        for task_id in sorted(handle.inflight, reverse=True):
-            index = id_to_index.get(task_id)
-            if index is None or index in results:
-                continue  # stale or already settled (speculation won)
-            retries[task_id] = retries.get(task_id, 0) + 1
-            if retries[task_id] > self.max_task_retries:
-                raise ClusterError(
-                    f"replicate task survived {self.max_task_retries} "
-                    f"reassignments and still failed (last worker lost: "
-                    f"{reason}); the spec itself is suspect",
-                    retryable=False,
-                )
-            self.stats["reassigned"] += 1
-            queue.appendleft(task_id)
+        for chunk in self._take_unreported(handle, results, id_to_index):
+            for task_id in chunk:
+                retries[task_id] = retries.get(task_id, 0) + 1
+                if retries[task_id] > self.max_task_retries:
+                    raise ClusterError(
+                        f"replicate task survived {self.max_task_retries} "
+                        f"reassignments and still failed (last worker lost: "
+                        f"{reason}); the spec itself is suspect",
+                        retryable=False,
+                    )
+            self.stats["reassigned"] += len(chunk)
+            queue.appendleft(chunk)
+
+    @staticmethod
+    def _take_unreported(
+        handle: _WorkerHandle,
+        results: "dict[int, RunResult]",
+        id_to_index: "dict[int, int]",
+    ) -> "list[list[int]]":
+        """Empty ``handle.inflight`` into its unreported task ids.
+
+        One list per chunk the worker held, last chunk first, so that
+        ``appendleft`` puts them back at the queue's front in send order
+        and a requeued chunk still holds one configuration.  Ids that
+        are stale or already settled (speculation won) are dropped.
+        """
+        chunks = [
+            [
+                task_id
+                for task_id in chunk
+                if id_to_index.get(task_id) is not None
+                and id_to_index[task_id] not in results
+            ]
+            for chunk in reversed(handle.inflight_chunks())
+        ]
+        handle.inflight.clear()
+        return [chunk for chunk in chunks if chunk]
 
     def _detach_drained(self, handle: _WorkerHandle) -> None:
         """A drained worker closed its connection: a clean goodbye."""
@@ -1128,19 +1192,30 @@ class ClusterBackend(ExecutionBackend):
 
     # -- the batch loop -------------------------------------------------
 
-    def _send_task(
+    def _send_chunk(
         self,
         handle: _WorkerHandle,
-        task_id: int,
-        spec: ReplicateSpec,
+        chunk: "list[int]",
+        specs: "list[ReplicateSpec]",
+        id_to_index: "dict[int, int]",
         state: "tuple[str, bytes] | None",
     ) -> None:
+        """Send one TASK frame carrying ``chunk``'s ``(task_id, spec)`` pairs.
+
+        One frame per chunk also keeps the chunk's shared objects shared
+        on the worker (pickle memoizes them), which is what inline specs
+        need to group into one lockstep batch there.
+        """
         if state is not None and handle.installed_digest != state[0]:
             handle.send(wire.MSG_STATE, {"digest": state[0], "blob": state[1]})
             handle.installed_digest = state[0]
             self.stats["state_installs"] += 1
-        handle.inflight[task_id] = time.monotonic()
-        handle.send(wire.MSG_TASK, {"task_id": task_id, "spec": spec})
+        number = next(self._chunk_numbers)
+        sent_at = time.monotonic()
+        for task_id in chunk:
+            handle.inflight[task_id] = (sent_at, number)
+        tasks = [(task_id, specs[id_to_index[task_id]]) for task_id in chunk]
+        handle.send(wire.MSG_TASK, {"tasks": tasks})
 
     def _run_batch(
         self,
@@ -1174,7 +1249,8 @@ class ClusterBackend(ExecutionBackend):
             id_to_index[self._next_task_id] = index
             self._next_task_id += 1
         task_ids = sorted(id_to_index)
-        queue: "deque[int]" = deque(task_ids)
+        #: Chunks of task ids waiting for a worker; filled at first dispatch.
+        queue: "deque[list[int]]" = deque()
         results: "dict[int, RunResult]" = {}
         retries: "dict[int, int]" = {}
         speculated: "set[int]" = set()
@@ -1239,6 +1315,13 @@ class ClusterBackend(ExecutionBackend):
                     or not self._pending_procs
                     or now - batch_start > self.connect_timeout
                 )
+                if dispatching:
+                    ready = sum(handle.ready for handle in self._workers.values())
+                    queue.extend(
+                        self._chunk_task_ids(
+                            specs, task_ids, max(self.n_workers, ready)
+                        )
+                    )
             if dispatching:
                 self._dispatch(queue, results, id_to_index, specs, state, retries)
                 if not queue:
@@ -1255,30 +1338,61 @@ class ClusterBackend(ExecutionBackend):
                     )
         return [results[index] for index in range(len(specs))]
 
+    @staticmethod
+    def _chunk_task_ids(
+        specs: "list[ReplicateSpec]", task_ids: "list[int]", fleet: int
+    ) -> "list[list[int]]":
+        """The batch's task ids cut into same-configuration chunks.
+
+        Chunks are as wide as the process pool's (so ``auto`` vectorizes
+        on the worker just as it does there) but never so wide that one
+        of ``fleet`` workers sits idle while the batch holds a replicate
+        for it (:func:`~repro.engine.backends._dispatch_chunks`).
+        """
+        chunks: "list[list[int]]" = []
+        start = 0
+        for chunk in _dispatch_chunks(specs, fleet, fill_workers=True):
+            chunks.append(task_ids[start:start + len(chunk)])
+            start += len(chunk)
+        return chunks
+
     def _dispatch(
         self,
-        queue: "deque[int]",
+        queue: "deque[list[int]]",
         results: "dict[int, RunResult]",
         id_to_index: "dict[int, int]",
         specs: "list[ReplicateSpec]",
         state: "tuple[str, bytes] | None",
         retries: "dict[int, int]",
     ) -> None:
-        for handle in list(self._workers.values()):
-            if not handle.ready or handle.draining:
-                continue
-            while queue and len(handle.inflight) < self.window:
-                task_id = queue[0]
-                index = id_to_index[task_id]
-                if index in results:
-                    queue.popleft()  # settled while waiting for reassignment
+        """Hand queued chunks round-robin to workers with window room."""
+        while queue:
+            open_workers = [
+                handle
+                for handle in self._workers.values()
+                if handle.ready
+                and not handle.draining
+                and len(handle.inflight_chunks()) < self.window
+            ]
+            if not open_workers:
+                return
+            for handle in open_workers:
+                if not queue:
+                    return
+                # Ids settled while waiting for reassignment drop out.
+                chunk = [
+                    task_id
+                    for task_id in queue.popleft()
+                    if id_to_index[task_id] not in results
+                ]
+                if not chunk:
                     continue
-                queue.popleft()
                 try:
-                    self._send_task(handle, task_id, specs[index], state)
+                    self._send_chunk(handle, chunk, specs, id_to_index, state)
                 except (OSError, ClusterError):
-                    queue.appendleft(task_id)
-                    handle.inflight.pop(task_id, None)
+                    for task_id in chunk:
+                        handle.inflight.pop(task_id, None)
+                    queue.appendleft(chunk)
                     self._fail_worker(
                         handle, queue, retries, results, id_to_index,
                         "send failed",
@@ -1287,7 +1401,7 @@ class ClusterBackend(ExecutionBackend):
 
     def _speculate(
         self,
-        queue: "deque[int]",
+        queue: "deque[list[int]]",
         results: "dict[int, RunResult]",
         id_to_index: "dict[int, int]",
         specs: "list[ReplicateSpec]",
@@ -1295,12 +1409,14 @@ class ClusterBackend(ExecutionBackend):
         retries: "dict[int, int]",
         speculated: "set[int]",
     ) -> None:
-        """Hedge stragglers: idle workers re-run the oldest in-flight task.
+        """Hedge stragglers: idle workers re-run the oldest in-flight chunk.
 
-        Only once the queue is empty (end-of-batch), only for tasks in
+        Only once the queue is empty (end-of-batch), only for chunks in
         flight longer than ``speculation_delay``, and at most one extra
-        copy per task per batch.  The coordinator's dedup absorbs the
-        losing copy, so results stay exactly-once by construction.
+        copy per task per batch: an idle worker is handed the still
+        unreported, not yet hedged task ids of the oldest outstanding
+        chunk.  The coordinator's dedup absorbs the losing copy, so
+        results stay exactly-once by construction.
         """
         if not self.speculation_delay:
             return
@@ -1312,37 +1428,38 @@ class ClusterBackend(ExecutionBackend):
         if not idle:
             return
         now = time.monotonic()
-        outstanding = sorted(
-            (sent_at, task_id)
-            for handle in self._workers.values()
-            for task_id, sent_at in handle.inflight.items()
-            if task_id not in speculated
-            and id_to_index.get(task_id) is not None
-            and id_to_index[task_id] not in results
-        )
+        outstanding: "dict[tuple[float, int], list[int]]" = {}
+        for handle in self._workers.values():
+            for task_id, sent in handle.inflight.items():
+                index = id_to_index.get(task_id)
+                if task_id in speculated or index is None or index in results:
+                    continue
+                outstanding.setdefault(sent, []).append(task_id)
+        oldest_first = sorted(outstanding.items())
         for handle in idle:
-            if not outstanding:
+            if not oldest_first:
                 return
-            sent_at, task_id = outstanding[0]
+            (sent_at, _number), chunk = oldest_first[0]
             if now - sent_at < self.speculation_delay:
                 return  # the oldest copy is still young; so is the rest
-            outstanding.pop(0)
+            oldest_first.pop(0)
             try:
-                self._send_task(handle, task_id, specs[id_to_index[task_id]], state)
+                self._send_chunk(handle, chunk, specs, id_to_index, state)
             except (OSError, ClusterError):
-                handle.inflight.pop(task_id, None)
+                for task_id in chunk:
+                    handle.inflight.pop(task_id, None)
                 self._fail_worker(
                     handle, queue, retries, results, id_to_index, "send failed"
                 )
                 continue
-            speculated.add(task_id)
-            self.stats["speculated"] += 1
+            speculated.update(chunk)
+            self.stats["speculated"] += len(chunk)
 
     def _decode(
         self,
         handle: _WorkerHandle,
         data: bytes,
-        queue: "deque[int]",
+        queue: "deque[list[int]]",
         results: "dict[int, RunResult]",
         id_to_index: "dict[int, int]",
         retries: "dict[int, int]",
@@ -1371,7 +1488,7 @@ class ClusterBackend(ExecutionBackend):
     def _read_worker(
         self,
         handle: _WorkerHandle,
-        queue: "deque[int]",
+        queue: "deque[list[int]]",
         results: "dict[int, RunResult]",
         id_to_index: "dict[int, int]",
         retries: "dict[int, int]",
@@ -1438,12 +1555,8 @@ class ClusterBackend(ExecutionBackend):
                     self.stats["duplicates_dropped"] += 1
                 else:
                     results[index] = payload["result"]
-                    kernel_used = payload.get("kernel")
-                    if kernel_used == "vectorized":
-                        self.kernel_stats["vectorized_replicates"] += 1
-                        self.kernel_stats["kernel_installs"] += 1
-                    else:
-                        self.kernel_stats["scalar_replicates"] += 1
+                    for key, value in payload["kernel_stats"].items():
+                        self.kernel_stats[key] = self.kernel_stats.get(key, 0) + value
             elif kind == wire.MSG_GOODBYE:
                 # Graceful drain: not a failure, no retry cost.  GOODBYE
                 # is the last frame the worker sends, so everything it
@@ -1456,12 +1569,8 @@ class ClusterBackend(ExecutionBackend):
                 self.stats["drains"] += 1
                 if handle.proc is not None:
                     self._free_spawns += 1
-                for task_id in sorted(handle.inflight, reverse=True):
-                    index = id_to_index.get(task_id)
-                    if index is None or index in results:
-                        continue
-                    queue.appendleft(task_id)
-                handle.inflight.clear()
+                for chunk in self._take_unreported(handle, results, id_to_index):
+                    queue.appendleft(chunk)
                 self._detach_drained(handle)
                 return
             elif kind == wire.MSG_ERROR:
@@ -1478,7 +1587,12 @@ class ClusterBackend(ExecutionBackend):
     # -- teardown --------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop workers, close sockets, release the listener."""
+        """Stop workers, close sockets, release the listener.
+
+        Every ready worker is told to shut down before any is reaped, so
+        the fleet's exits overlap instead of running one after another.
+        """
+        procs: "list[subprocess.Popen]" = []
         for handle in list(self._workers.values()):
             if handle.ready:
                 try:
@@ -1490,13 +1604,13 @@ class ClusterBackend(ExecutionBackend):
             except OSError:
                 pass
             if handle.proc is not None:
-                self._reap(handle.proc)
+                procs.append(handle.proc)
         self._workers.clear()
-        for proc in self._pending_procs.values():
+        procs += self._pending_procs.values()
+        procs += [proc for proc, _deadline in self._disconnected.values()]
+        for proc in procs:
             self._reap(proc)
         self._pending_procs.clear()
-        for proc, _deadline in self._disconnected.values():
-            self._reap(proc)
         self._disconnected.clear()
         if self._selector is not None:
             self._selector.close()

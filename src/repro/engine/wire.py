@@ -45,11 +45,12 @@ from typing import Any
 from repro.errors import ClusterError
 
 #: Protocol version, negotiated during the handshake; bumped on any wire
-#: change.  Version 1 (unauthenticated pickle HELLO) is no longer spoken.
-WIRE_VERSION = 2
+#: change.  Version 1 (unauthenticated pickle HELLO) and version 2 (one
+#: replicate per TASK frame) are no longer spoken.
+WIRE_VERSION = 3
 
 #: Versions this build can speak, newest first.
-SUPPORTED_WIRE_VERSIONS = (2,)
+SUPPORTED_WIRE_VERSIONS = (3,)
 
 #: Frame length prefix: 4-byte unsigned big-endian.
 _LENGTH = struct.Struct(">I")
@@ -91,16 +92,20 @@ MSG_AUTH_REJECT = "auth-reject"
 #: Coordinator -> worker: {"digest", "blob"} — a pickled shared-state
 #: mapping, installed worker-side (at most once per digest per worker).
 MSG_STATE = "state"
-#: Coordinator -> worker: {"task_id", "spec"} — one replicate to run.
+#: Coordinator -> worker: {"tasks": [(task_id, spec), ...]} — a chunk of
+#: same-configuration replicates to run as one kernel dispatch.
 MSG_TASK = "task"
-#: Worker -> coordinator: {"task_id", "result"} — the finished replicate.
+#: Worker -> coordinator: {"task_id", "result", "kernel_stats"} — one
+#: finished replicate and its share of the chunk's kernel counters.
 MSG_RESULT = "result"
-#: Worker -> coordinator: {"task_id", "message"} — the replicate raised.
+#: Worker -> coordinator: {"task_id", "message"} — the chunk holding
+#: this (its first) task id raised.
 MSG_ERROR = "error"
 #: Worker -> coordinator, periodic liveness signal: {}.
 MSG_HEARTBEAT = "heartbeat"
-#: Worker -> coordinator: {"reason"} — graceful drain; the worker has
-#: returned all in-flight results and is about to detach.
+#: Worker -> coordinator: {"reason"} — graceful drain; the worker sends
+#: nothing after it, so every task id it has not reported goes back to
+#: the coordinator's queue.
 MSG_GOODBYE = "goodbye"
 #: Coordinator -> worker: {} — finish up and exit cleanly.
 MSG_SHUTDOWN = "shutdown"

@@ -278,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="detach gracefully after N results (finish the in-flight "
-        "replicate, deliver it, say goodbye); SIGTERM drains the same way",
+        help="detach gracefully after delivering N results (say goodbye; "
+        "the coordinator requeues the rest of the chunk); SIGTERM drains "
+        "once the current chunk's results are delivered",
     )
     worker.add_argument(
         "--max-reconnects",

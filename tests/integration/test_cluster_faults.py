@@ -56,13 +56,13 @@ def small_spec() -> SweepSpec:
     )
 
 
-#: 3 points x 4 replicates = 12 work units in the first (only) round.
-#: A spawned fleet starts a batch only once both workers are up, so a
-#: scenario whose counters need the faulty worker to take part sets a
-#: ``window`` one deeper than the fault's result count: the worker is
-#: handed that many tasks up front, so it still holds one when the fault
-#: fires and the coordinator must recover it — however fast the healthy
-#: worker is.
+#: 3 points x 4 replicates = 12 work units in the first (only) round,
+#: dispatched as three 4-replicate chunks (one per configuration).  A
+#: spawned fleet starts a batch only once both workers are up and hands
+#: chunks out round-robin, so each worker holds a chunk from the start.
+#: Every fault below fires after fewer results than a chunk holds: the
+#: faulty worker still has unreported tasks when it fires and the
+#: coordinator must recover them — however fast the healthy worker is.
 BUDGET = ReplicateBudget.fixed(4)
 
 
@@ -386,8 +386,9 @@ class TestAcceptanceE3ClusterSweep:
         matches serial byte for byte.
 
         A fixed budget keeps the whole sweep in one long round.  The
-        round waits for both workers to start and hands each four
-        tasks up front, so both faults fire with tasks in flight.  The
+        round waits for both workers to start and hands each of them
+        10-replicate chunks up front, so both faults fire with tasks in
+        flight.  The
         drained worker's replacement needs a whole interpreter start-up,
         far longer than the flapped worker's 0.05-0.15 s backoff, so the
         reconnect lands while the round is still in flight."""

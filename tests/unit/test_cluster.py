@@ -778,6 +778,114 @@ class TestClusterExecution:
             backend.shutdown()
 
 
+def config_specs(sizes_and_counts, **run_kwargs):
+    """Inline specs for consecutive configurations: one complete graph
+    per ``(n, replicates)`` entry, each with its own root seed."""
+    specs = []
+    for n, count in sizes_and_counts:
+        runner = MonteCarloRunner(
+            complete_graph(n), VanillaGossip, [float(i) for i in range(n)], seed=n
+        )
+        specs += runner.build_specs(count, max_events=200, **run_kwargs)
+    return specs
+
+
+@pytest.fixture
+def task_frames(monkeypatch):
+    """Every TASK frame the coordinator sends, as ``(handle id, task
+    ids, graph sizes)`` in send order."""
+    frames: "list[tuple[int, list[int], list[int]]]" = []
+    send = _WorkerHandle.send
+
+    def recording_send(self, kind, payload):
+        if kind == wire.MSG_TASK:
+            frames.append((
+                self.id,
+                [task_id for task_id, _spec in payload["tasks"]],
+                [spec.graph.n_vertices for _task_id, spec in payload["tasks"]],
+            ))
+        send(self, kind, payload)
+
+    monkeypatch.setattr(_WorkerHandle, "send", recording_send)
+    return frames
+
+
+@pytest.mark.slow
+class TestChunkedDispatch:
+    """The cluster's task unit is a same-configuration chunk: one TASK
+    frame and one worker-side kernel dispatch per chunk, while task ids
+    (dedup, reassignment, fault counters) stay per replicate."""
+
+    def test_kernel_stats_match_the_process_pool(self):
+        """Two configurations x 32 replicates vectorize worker-side in
+        the same lockstep batches as on a 2-worker process pool."""
+        from repro.engine.backends import ProcessPoolBackend
+
+        specs = config_specs([(6, 32), (7, 32)])
+        serial = SerialBackend().execute(specs)
+        pool = ProcessPoolBackend(2)
+        backend = ClusterBackend(2)
+        try:
+            pooled = pool.execute(specs)
+            clustered = backend.execute(specs)
+        finally:
+            pool.shutdown()
+            backend.shutdown()
+        assert all(map(results_identical, serial, pooled))
+        assert all(map(results_identical, serial, clustered))
+        assert pool.kernel_stats["vectorized_replicates"] == 64
+        assert pool.kernel_stats["scalar_replicates"] == 0
+        assert backend.kernel_stats == pool.kernel_stats
+
+    def test_a_chunk_never_mixes_configurations(self, task_frames):
+        specs = config_specs([(6, 5), (7, 7)])
+        serial = SerialBackend().execute(specs)
+        backend = ClusterBackend(2)
+        try:
+            clustered = backend.execute(specs)
+        finally:
+            backend.shutdown()
+        assert all(map(results_identical, serial, clustered))
+        for _handle, _task_ids, sizes in task_frames:
+            assert len(set(sizes)) == 1, sizes
+        sent = [task_id for _h, task_ids, _s in task_frames for task_id in task_ids]
+        assert len(sent) == len(set(sent)) == len(specs)
+
+    def test_a_small_batch_still_reaches_every_worker(self, task_frames):
+        """Six replicates of one configuration: each of the two workers
+        is handed one three-replicate chunk."""
+        specs = config_specs([(6, 6)])
+        serial = SerialBackend().execute(specs)
+        backend = ClusterBackend(2)
+        try:
+            clustered = backend.execute(specs)
+        finally:
+            backend.shutdown()
+        assert all(map(results_identical, serial, clustered))
+        assert sorted(len(task_ids) for _h, task_ids, _s in task_frames) == [3, 3]
+        assert len({handle for handle, _t, _s in task_frames}) == 2
+
+    def test_crash_mid_chunk_reassigns_only_unreported_ids(self, task_frames):
+        """A worker dying after 2 results of its 4-replicate chunk: only
+        the chunk's 2 unreported task ids are re-sent, and every
+        replicate (and its kernel counters) counts exactly once."""
+        specs = config_specs([(6, 8)])
+        serial = SerialBackend().execute(specs)
+        backend = ClusterBackend(2, worker_faults=["die-after:2", None])
+        try:
+            clustered = backend.execute(specs)
+        finally:
+            backend.shutdown()
+        assert all(map(results_identical, serial, clustered))
+        assert backend.stats["worker_failures"] == 1
+        assert backend.stats["reassigned"] == 2
+        first, second, *retried = [task_ids for _h, task_ids, _s in task_frames]
+        assert sorted([len(first), len(second)]) == [4, 4]
+        assert retried in ([first[2:]], [second[2:]])
+        assert backend.kernel_stats["scalar_replicates"] == len(specs)
+        assert backend.kernel_stats["vectorized_replicates"] == 0
+
+
 class TestWorkerCLI:
     """The `repro ... worker` subcommand's argument handling (the happy
     path is exercised by every spawned-worker test above)."""

@@ -133,6 +133,25 @@ def test_first_import_in_fresh_interpreter(module):
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("module", ["repro.experiments.cli", "repro.engine.cluster"])
+def test_start_up_import_leaves_scipy_unloaded(module):
+    """The CLI and a cluster worker never call scipy at start-up (the
+    coordinator precomputes every spectral quantity a spec needs), so
+    importing them must not load it; spectral code imports it lazily."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = f"import sys, {module}; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 class TestRegistryAndReporting:
     def test_registry_complete(self):
         assert set(REPORT_SPECS) == {f"E{i}" for i in range(1, 15)}
